@@ -18,8 +18,9 @@ final class Ver(val repo: TableRepo, val index: DiscoveryIndex) {
     else JoinGraphSearch.search(cands, index, cfg)
   }
 
-  /** Materialize the ranked specs (top `limit`) through the Spark
-    * MATERIALIZER.
+  /** Materialize the ranked specs (top `limit`) with the driver-side
+    * MATERIALIZER, which joins over the repo's tables collected once per
+    * repo (shared by every query on it).
     */
   def materialize(result: SearchResult, limit: Int = Int.MaxValue): Vector[MatView] =
     Materializer.materializeAll(repo, result.specs, limit)

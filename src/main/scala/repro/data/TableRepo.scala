@@ -1,5 +1,6 @@
 package repro.data
 
+import java.util.concurrent.ConcurrentHashMap
 import org.apache.spark.sql.{DataFrame, Row, SparkSession}
 import org.apache.spark.sql.types.{StringType, StructField, StructType}
 import scala.jdk.CollectionConverters._
@@ -32,6 +33,17 @@ final case class TableRepo(
 ) {
   def apply(table: String): DataFrame =
     tables.getOrElse(table, sys.error(s"unknown table $table in repo $name"))
+
+  private val collected = new ConcurrentHashMap[String, Vector[Vector[String]]]()
+
+  /** A table's rows on the driver, in `apply(table).columns` order, with
+    * each cell's string form and nulls kept as null. Each table is
+    * collected once per repo, on first use, however many threads ask.
+    */
+  def rows(table: String): Vector[Vector[String]] =
+    collected.computeIfAbsent(table, t => apply(t).collect().iterator.map(r =>
+      Vector.tabulate(r.length)(i => Option(r.get(i)).map(_.toString).orNull)).toVector)
+
   def columnRefs: Vector[ColumnRef] =
     tables.toVector.sortBy(_._1).flatMap { case (t, df) => df.columns.toVector.map(ColumnRef(t, _)) }
 }

@@ -1,10 +1,19 @@
 package repro.core
 
+import org.apache.spark.sql.{DataFrame, Row}
+import org.apache.spark.sql.types.{StringType, StructField, StructType}
+import org.scalacheck.{Gen, Prop, Test => SCTest}
+import scala.concurrent.{Await, Future}
+import scala.concurrent.ExecutionContext.Implicits.global
+import scala.concurrent.duration._
+import scala.jdk.CollectionConverters._
+
 import repro.{Oracle, SparkSpec}
 import repro.data.TableRepo
 
-/** Tests the Spark MATERIALIZER against the DuckDB oracle: every join graph
-  * materialization is checked for result-equality with the equivalent SQL.
+/** Tests the driver-side MATERIALIZER against the DuckDB oracle: every join
+  * graph materialization is checked for result-equality with the equivalent
+  * SQL.
   */
 class MaterializerSpec extends SparkSpec {
   private def c(t: String, col: String) = ColumnRef(t, col)
@@ -23,12 +32,25 @@ class MaterializerSpec extends SparkSpec {
     Set(JoinEdge(c("orders", "cid"), c("customers", "cid"))),
     Vector(c("customers", "name"), c("orders", "status")))
 
+  /** A table whose columns may hold nulls (`TableRepo.df` declares none). */
+  private def nullableDf(cols: Seq[String], rows: Seq[Seq[String]]): DataFrame =
+    spark.createDataFrame(rows.map(r => Row.fromSeq(r)).asJava,
+      StructType(cols.map(StructField(_, StringType, nullable = true))))
+
+  /** Materialize `spec` over `r` and check the view against DuckDB's answer
+    * to `sql` over the spec's tables.
+    */
+  private def assertMatchesDuckDb(r: TableRepo, spec: ViewSpec, sql: String): MatView = {
+    val v = Materializer.materialize(r, spec, "v")
+    Oracle.assertEquivalent(TableRepo.df(spark, v.schema, v.rows), sql,
+      spec.tables.toVector.sorted.map(t => t -> r(t)): _*)
+    v
+  }
+
   test("two-table join matches DuckDB") {
-    Oracle.assertEquivalent(
-      Materializer.frame(repo, join1),
+    assertMatchesDuckDb(repo, join1,
       "SELECT DISTINCT customers.name AS name, orders.status AS status " +
-        "FROM orders JOIN customers ON orders.cid = customers.cid",
-      "orders" -> repo("orders"), "customers" -> repo("customers"))
+        "FROM orders JOIN customers ON orders.cid = customers.cid")
   }
 
   test("three-table chain join matches DuckDB") {
@@ -36,25 +58,20 @@ class MaterializerSpec extends SparkSpec {
       Set(JoinEdge(c("orders", "cid"), c("customers", "cid")),
           JoinEdge(c("customers", "name"), c("cities", "name"))),
       Vector(c("cities", "city"), c("orders", "status")))
-    Oracle.assertEquivalent(
-      Materializer.frame(repo, spec),
+    assertMatchesDuckDb(repo, spec,
       "SELECT DISTINCT cities.city AS city, orders.status AS status " +
         "FROM orders JOIN customers ON orders.cid = customers.cid " +
-        "JOIN cities ON customers.name = cities.name",
-      "orders" -> repo("orders"), "customers" -> repo("customers"), "cities" -> repo("cities"))
+        "JOIN cities ON customers.name = cities.name")
   }
 
   test("single-table projection matches DuckDB") {
     val spec = ViewSpec.singleTable(Vector(c("orders", "cid"), c("orders", "status")))
-    Oracle.assertEquivalent(
-      Materializer.frame(repo, spec),
-      "SELECT DISTINCT cid, status FROM orders",
-      "orders" -> repo("orders"))
+    assertMatchesDuckDb(repo, spec, "SELECT DISTINCT cid, status FROM orders")
   }
 
   test("projection is distinct (set semantics)") {
     val spec = ViewSpec.singleTable(Vector(c("orders", "status")))
-    assert(Materializer.frame(repo, spec).count() == 2)
+    assert(Materializer.materialize(repo, spec, "v").rows.size == 2)
   }
 
   test("unmatched join keys are dropped (inner join semantics)") {
@@ -75,14 +92,16 @@ class MaterializerSpec extends SparkSpec {
     val spec = ViewSpec(Set("orders", "customers"),
       Set(JoinEdge(c("orders", "cid"), c("customers", "cid"))),
       Vector(c("orders", "cid"), c("customers", "cid")))
-    val df = Materializer.frame(repo, spec)
-    assert(df.columns.toVector == Vector("cid", "cid_2"))
+    val v = Materializer.materialize(repo, spec, "v")
+    assert(v.schema == Vector("cid", "cid_2"))
+    assert(v.rows == Vector(Vector("c1", "c1"), Vector("c2", "c2")))
   }
 
   test("disconnected specs are rejected") {
     val spec = ViewSpec(Set("orders", "cities"), Set.empty,
       Vector(c("orders", "oid"), c("cities", "city")))
-    intercept[RuntimeException](Materializer.frame(repo, spec))
+    val e = intercept[RuntimeException](Materializer.materialize(repo, spec, "v"))
+    assert(e.getMessage.contains("disconnected spec"))
   }
 
   test("materializeAll preserves ranked order and limit") {
@@ -102,9 +121,103 @@ class MaterializerSpec extends SparkSpec {
     val spec = ViewSpec(Set("a", "b"),
       Set(JoinEdge(c("a", "k1"), c("b", "k1")), JoinEdge(c("a", "k2"), c("b", "k2"))),
       Vector(c("a", "pa"), c("b", "pb")))
-    Oracle.assertEquivalent(
-      Materializer.frame(r2, spec),
-      "SELECT DISTINCT a.pa AS pa, b.pb AS pb FROM a JOIN b ON a.k1 = b.k1 AND a.k2 = b.k2",
-      "a" -> r2("a"), "b" -> r2("b"))
+    assertMatchesDuckDb(r2, spec,
+      "SELECT DISTINCT a.pa AS pa, b.pb AS pb FROM a JOIN b ON a.k1 = b.k1 AND a.k2 = b.k2")
+  }
+
+  test("null join keys never match and projected nulls render as ∅") {
+    val r = TableRepo("nulls", Map(
+      "l" -> nullableDf(Seq("k", "v"), Seq(Seq("k1", "v1"), Seq(null, "v2"), Seq("k3", null))),
+      "r" -> nullableDf(Seq("k", "w"), Seq(Seq("k1", "w1"), Seq(null, "w2"), Seq("k3", "w3"))),
+    ), Vector.empty)
+    val spec = ViewSpec(Set("l", "r"), Set(JoinEdge(c("l", "k"), c("r", "k"))),
+      Vector(c("l", "v"), c("r", "w")))
+    val v = assertMatchesDuckDb(r, spec, "SELECT DISTINCT l.v AS v, r.w AS w FROM l JOIN r ON l.k = r.k")
+    assert(v.rows == Vector(Vector("v1", "w1"), Vector(Materializer.NullCell, "w3")))
+  }
+
+  test("a join without matches is an empty view with the projected schema") {
+    val spec = ViewSpec(Set("orders", "customers"),
+      Set(JoinEdge(c("orders", "status"), c("customers", "name"))),
+      Vector(c("orders", "oid"), c("customers", "cid")))
+    val v = assertMatchesDuckDb(repo, spec,
+      "SELECT DISTINCT orders.oid AS oid, customers.cid AS cid " +
+        "FROM orders JOIN customers ON orders.status = customers.name")
+    assert(v.rows.isEmpty && v.schema == Vector("cid", "oid"))
+  }
+
+  test("many-to-many two-hop chain with duplicate keys matches DuckDB") {
+    // Every step fans out: a.k and b.k repeat, and so do b.m and c.m.
+    val r = TableRepo("m2m", Map(
+      "a" -> TableRepo.df(spark, Seq("k", "x"), Seq(
+        Seq("1", "x1"), Seq("1", "x2"), Seq("1", "x1"), Seq("2", "x3"))),
+      "b" -> TableRepo.df(spark, Seq("k", "m", "junk"), Seq(
+        Seq("1", "p", "j1"), Seq("1", "p", "j2"), Seq("1", "q", "j3"), Seq("2", "q", "j4"))),
+      "c" -> TableRepo.df(spark, Seq("m", "y"), Seq(
+        Seq("p", "y1"), Seq("p", "y2"), Seq("q", "y2"), Seq("q", "y2"))),
+    ), Vector.empty)
+    val spec = ViewSpec(Set("a", "b", "c"),
+      Set(JoinEdge(c("a", "k"), c("b", "k")), JoinEdge(c("b", "m"), c("c", "m"))),
+      Vector(c("a", "x"), c("c", "y")))
+    val v = assertMatchesDuckDb(r, spec,
+      "SELECT DISTINCT a.x AS x, c.y AS y FROM a JOIN b ON a.k = b.k JOIN c ON b.m = c.m")
+    assert(v.rows == Vector(Vector("x1", "y1"), Vector("x1", "y2"), Vector("x2", "y1"),
+      Vector("x2", "y2"), Vector("x3", "y2")))
+  }
+
+  test("tables are collected once per repo, shared across threads") {
+    val r = TableRepo("once", Map("t" -> TableRepo.df(spark, Seq("a"), Seq(Seq("1")))), Vector.empty)
+    val got = Await.result(Future.sequence(Seq.fill(8)(Future(r.rows("t")))), 1.minute)
+    assert(got.forall(_ eq got.head) && (r.rows("t") eq got.head))
+    assert(got.head == Vector(Vector("1")))
+  }
+
+  /** DuckDB SQL for a spec: inner equi-joins in reach order, the projection
+    * aliased like [[Materializer.dedupeNames]], set semantics.
+    */
+  private def sqlFor(spec: ViewSpec): String = {
+    def ref(col: ColumnRef) = s"${col.table}.${col.column}"
+    val first = spec.tables.min
+    var reached = Set(first)
+    val from = new StringBuilder(first)
+    while (reached != spec.tables) {
+      val t = (spec.tables -- reached).filter(t => spec.edges.exists(e => e.touches(t) && e.tables.exists(reached))).min
+      val on = spec.edges.filter(e => e.touches(t) && e.tables.exists(reached))
+        .map(e => s"${ref(e.endpointIn(t))} = ${ref(e.endpointNotIn(t))}")
+      from ++= s" JOIN $t ON ${on.mkString(" AND ")}"
+      reached += t
+    }
+    val cols = spec.projection.zip(Materializer.dedupeNames(spec.projection.map(_.column)))
+      .map { case (col, n) => s"${ref(col)} AS $n" }
+    s"SELECT DISTINCT ${cols.mkString(", ")} FROM $from"
+  }
+
+  test("randomized: materialize equals DuckDB on small repos with nulls") {
+    val cols = Vector("a", "b", "c")
+    val cell = Gen.frequency(5 -> Gen.oneOf("x", "y", "z"), 1 -> Gen.const(null: String))
+    val tableGen = Gen.choose(0, 6).flatMap(n => Gen.listOfN(n, Gen.listOfN(cols.size, cell)))
+    def edgesGen(t: String, u: String) = Gen.choose(1, 2).flatMap(n =>
+      Gen.listOfN(n, Gen.zip(Gen.oneOf(cols), Gen.oneOf(cols))).map(_.map { case (x, y) =>
+        JoinEdge(c(t, x), c(u, y)) }))
+    val caseGen = for {
+      nTables <- Gen.choose(2, 3)
+      names = Vector.tabulate(nTables)(i => s"t$i")
+      data <- Gen.listOfN(nTables, tableGen)
+      // A chain over the tables, plus the closing pair of a triangle half the time.
+      pairs <- Gen.oneOf(true, false).map(closed =>
+        names.zip(names.tail) ++ Option.when(closed && nTables == 3)(names.head -> names.last))
+      edges <- Gen.sequence[List[List[JoinEdge]], List[JoinEdge]](pairs.map { case (t, u) => edgesGen(t, u) })
+      nProj <- Gen.choose(1, 3)
+      proj <- Gen.listOfN(nProj, Gen.zip(Gen.oneOf(names), Gen.oneOf(cols)))
+    } yield (names.zip(data).toMap, ViewSpec(names.toSet, edges.flatten.toSet,
+      proj.map { case (t, col) => c(t, col) }.toVector))
+
+    val prop = Prop.forAllNoShrink(caseGen) { case (data, spec) =>
+      val r = TableRepo("random", data.map { case (t, rows) => t -> nullableDf(cols, rows) }, Vector.empty)
+      assertMatchesDuckDb(r, spec, sqlFor(spec))
+      true
+    }
+    val res = SCTest.check(SCTest.Parameters.default.withMinSuccessfulTests(40), prop)
+    assert(res.passed, res.status.toString)
   }
 }
