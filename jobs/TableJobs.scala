@@ -1,62 +1,32 @@
 package repro.jobs
 
+import org.apache.spark.sql.SparkSession
+
 import repro.SparkEnv
 import repro.exp._
 
-/** spark-submit entrypoints, one per evaluation table. Each prints the
-  * reproduced table rows to stdout; EXPERIMENTS.md records paper-vs-ours.
+/** The spark-submit entrypoint for the evaluation tables. Each argument
+  * names a table (`I` … `V`); with no argument every table runs, in order.
+  * Each table's rows are printed to stdout; EXPERIMENTS.md records
+  * paper-vs-ours.
   *
-  *   spark-submit --class repro.jobs.TableIJob target/scala-2.13/repro_*.jar
+  *   spark-submit --class repro.jobs.TableJobs target/scala-2.13/repro_*.jar [I|II|III|IV|V ...]
   */
-object TableIJob {
-  def main(args: Array[String]): Unit = {
-    val spark = SparkEnv.session
-    println(TableI.render(TableI.run(spark)))
-    spark.stop()
-  }
-}
+object TableJobs {
+  private val tables: Vector[(String, SparkSession => String)] = Vector(
+    "I"   -> (s => TableI.render(TableI.run(s))),
+    "II"  -> (s => TableII.render(TableII.run(s))),
+    "III" -> (s => TableIII.render(TableIII.run(s))),
+    "IV"  -> (s => TableIV.render(TableIV.run(s))),
+    "V"   -> (s => TableV.render(TableV.run(s))),
+  )
 
-object TableIIJob {
   def main(args: Array[String]): Unit = {
+    val byName = tables.toMap
+    val unknown = args.filterNot(byName.contains)
+    require(unknown.isEmpty, s"unknown table(s) ${unknown.mkString(", ")}; one of ${tables.map(_._1).mkString(", ")}")
     val spark = SparkEnv.session
-    println(TableII.render(TableII.run(spark)))
-    spark.stop()
-  }
-}
-
-object TableIIIJob {
-  def main(args: Array[String]): Unit = {
-    val spark = SparkEnv.session
-    println(TableIII.render(TableIII.run(spark)))
-    spark.stop()
-  }
-}
-
-object TableIVJob {
-  def main(args: Array[String]): Unit = {
-    val spark = SparkEnv.session
-    println(TableIV.render(TableIV.run(spark)))
-    spark.stop()
-  }
-}
-
-object TableVJob {
-  def main(args: Array[String]): Unit = {
-    val spark = SparkEnv.session
-    println(TableV.render(TableV.run(spark)))
-    spark.stop()
-  }
-}
-
-/** Runs every table job in sequence — the full evaluation. */
-object AllTablesJob {
-  def main(args: Array[String]): Unit = {
-    val spark = SparkEnv.session
-    println(TableI.render(TableI.run(spark)))
-    println(TableII.render(TableII.run(spark)))
-    println(TableIII.render(TableIII.run(spark)))
-    println(TableIV.render(TableIV.run(spark)))
-    println(TableV.render(TableV.run(spark)))
-    spark.stop()
+    try (if (args.isEmpty) tables.map(_._2) else args.toVector.map(byName)).foreach(run => println(run(spark)))
+    finally spark.stop()
   }
 }

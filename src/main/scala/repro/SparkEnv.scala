@@ -2,9 +2,9 @@ package repro
 
 import org.apache.spark.sql.SparkSession
 
-/** SparkSession factory for the `jobs/` entrypoints (main scope; tests use
-  * `repro.SparkSpec`). Same configuration: local master, broadcast joins
-  * disabled so shuffle paths are exercised.
+/** The one SparkSession factory, for the `jobs/` entrypoint and the tests
+  * (`repro.SparkSpec`): local master, broadcast joins disabled so shuffle
+  * paths are exercised.
   */
 object SparkEnv {
   lazy val session: SparkSession = SparkSession.builder

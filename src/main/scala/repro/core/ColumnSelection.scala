@@ -31,16 +31,11 @@ object ColumnSelection {
   def candidateColumns(examples: Vector[String], index: DiscoveryIndex): Set[ColumnRef] =
     examples.flatMap(index.searchKeyword).toSet
 
-  def overlap(c: ColumnRef, examples: Vector[String], index: DiscoveryIndex): Int = {
-    val vs = index.columnValues.getOrElse(c, Set.empty)
-    examples.distinct.count(vs.contains)
-  }
-
   /** Cluster candidates via NEIGHBORS connected components and score them. */
   def clusters(examples: Vector[String], index: DiscoveryIndex): Vector[Cluster] = {
     val cand = candidateColumns(examples, index)
     index.connectedComponents(cand).map { comp =>
-      Cluster(comp, comp.map(c => overlap(c, examples, index)).max)
+      Cluster(comp, comp.map(index.overlap(_, examples)).max)
     }
   }
 
@@ -84,7 +79,7 @@ object ColumnStrategy {
       val cand = repro.core.ColumnSelection.candidateColumns(examples, index)
       if (cand.isEmpty) Set.empty
       else {
-        val scored = cand.map(c => c -> repro.core.ColumnSelection.overlap(c, examples, index))
+        val scored = cand.map(c => c -> index.overlap(c, examples))
         val best = scored.map(_._2).max
         scored.filter(_._2 == best).map(_._1)
       }

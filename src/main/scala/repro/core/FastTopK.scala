@@ -13,16 +13,14 @@ object FastTopK {
   /** Overlap of a spec's projected columns with the query examples. */
   def overlapScore(spec: ViewSpec, index: DiscoveryIndex, q: ExampleQuery): Int =
     spec.projection.zipWithIndex.map { case (c, i) =>
-      val vs = index.columnValues.getOrElse(c, Set.empty)
-      val ex = if (i < q.columns.size) q.columns(i) else Vector.empty
-      ex.distinct.count(vs.contains)
+      index.overlap(c, if (i < q.columns.size) q.columns(i) else Vector.empty)
     }.sum
 
   /** Size proxy used to break ties (larger coverage first, mimicking
     * top-k spreadsheet search's preference for more complete answers).
     */
   def sizeProxy(spec: ViewSpec, index: DiscoveryIndex): Int =
-    spec.projection.map(c => index.columnValues.getOrElse(c, Set.empty).size).sum
+    spec.projection.map(index.distinctCount).sum
 
   /** Rank specs by (overlap desc, size desc, name). */
   def rank(specs: Seq[ViewSpec], index: DiscoveryIndex, q: ExampleQuery): Vector[ViewSpec] =

@@ -44,6 +44,15 @@ final case class TableRepo(
     collected.computeIfAbsent(table, t => apply(t).collect().iterator.map(r =>
       Vector.tabulate(r.length)(i => Option(r.get(i)).map(_.toString).orNull)).toVector)
 
+  /** A column's distinct non-null cell strings, sorted: the values query
+    * generation samples examples from and the discovery melt normalizes.
+    */
+  def values(c: ColumnRef): Vector[String] = {
+    val i = apply(c.table).columns.indexOf(c.column)
+    require(i >= 0, s"unknown column $c in repo $name")
+    rows(c.table).iterator.map(_(i)).filter(_ != null).distinct.toVector.sorted
+  }
+
   def columnRefs: Vector[ColumnRef] =
     tables.toVector.sortBy(_._1).flatMap { case (t, df) => df.columns.toVector.map(ColumnRef(t, _)) }
 }

@@ -4,42 +4,45 @@ import org.apache.spark.sql.SparkSession
 
 import repro.core.{ColumnRef, JoinEdge}
 import repro.data.TableRepo
+import repro.discovery.Profiles.normalize
 
 /** The online discovery index (Appendix A of the paper): the compact result
-  * of the distributed profiling job, serving Aurum's three functions —
-  * SEARCH-KEYWORD, NEIGHBORS and GENERATE-JOIN-GRAPHS — to the rest of Ver.
+  * of the profiling job, serving Aurum's three functions — SEARCH-KEYWORD,
+  * NEIGHBORS and GENERATE-JOIN-GRAPHS — and the Alg. 4 overlap score to the
+  * rest of Ver. Every value lookup normalizes with [[Profiles.normalize]],
+  * the rule the melt applied to the indexed values.
   *
-  * @param columnValues distinct values per column
-  * @param containment  containment score per canonically-ordered joinable
-  *                     column pair (score ≥ `threshold` only)
-  * @param threshold    the containment threshold the index was built at
+  * @param postings       normalized value → the columns holding it, sorted
+  * @param distinctCounts distinct normalized values per column, for every
+  *                       profiled column (0 if it has none)
+  * @param containment    containment score per canonically-ordered joinable
+  *                       column pair (score ≥ `threshold` only)
+  * @param threshold      the containment threshold the index was built at
   */
 final class DiscoveryIndex(
-    val columnValues: Map[ColumnRef, Set[String]],
+    val postings: Map[String, Vector[ColumnRef]],
+    val distinctCounts: Map[ColumnRef, Int],
     val containment: Map[(ColumnRef, ColumnRef), Double],
     val threshold: Double,
 ) {
-  /** Sorted distinct values of a column (workload-generation helper). */
-  def values(c: ColumnRef): Vector[String] =
-    columnValues.getOrElse(c, sys.error(s"unknown column $c")).toVector.sorted
+  def distinctCount(c: ColumnRef): Int = distinctCounts.getOrElse(c, 0)
 
-  /** Case-insensitive value inverted index. */
-  private lazy val valueIndex: Map[String, Vector[ColumnRef]] =
-    columnValues.toVector
-      .flatMap { case (c, vs) => vs.map(v => (v.toLowerCase, c)) }
-      .groupBy(_._1)
-      .map { case (v, cs) => v -> cs.map(_._2).sortBy(c => (c.table, c.column)) }
-
-  /** SEARCH-KEYWORD(value): columns containing the value (exact match,
-    * case-insensitive — see DESIGN.md substitution 6 for the fuzzy case).
+  /** SEARCH-KEYWORD(value): columns containing the value (exact match after
+    * normalization — see DESIGN.md substitution 6 for the fuzzy case).
     */
   def searchKeyword(value: String): Vector[ColumnRef] =
-    valueIndex.getOrElse(value.toLowerCase, Vector.empty)
+    postings.getOrElse(normalize(value), Vector.empty)
+
+  /** Alg. 4's overlap `|c ∩ examples|`: distinct normalized examples that
+    * column `c` contains.
+    */
+  def overlap(c: ColumnRef, examples: Seq[String]): Int =
+    examples.map(normalize).distinct.count(v => postings.get(v).exists(_.contains(c)))
 
   /** Attribute-name search: columns whose name contains the keyword. */
   def searchAttribute(keyword: String): Vector[ColumnRef] = {
-    val k = keyword.toLowerCase
-    columnValues.keys.toVector.filter(_.column.toLowerCase.contains(k))
+    val k = normalize(keyword)
+    distinctCounts.keys.toVector.filter(c => normalize(c.column).contains(k))
       .sortBy(c => (c.table, c.column))
   }
 
@@ -116,25 +119,31 @@ final class DiscoveryIndex(
   }
 }
 
-/** Offline builder: runs the distributed [[Profiles]] job and collects the
-  * compact aggregates into a [[DiscoveryIndex]].
+object DiscoveryIndex {
+  /** The index over per-column values that are already distinct and
+    * normalized, as [[Profiles.melt]] returns them.
+    */
+  def apply(melted: Iterable[(ColumnRef, Iterable[String])],
+            containment: Map[(ColumnRef, ColumnRef), Double], threshold: Double): DiscoveryIndex = {
+    val postings = melted.toVector
+      .flatMap { case (c, vs) => vs.map(_ -> c) }
+      .groupMap(_._1)(_._2)
+      .map { case (v, cs) => v -> cs.sortBy(c => (c.table, c.column)) }
+    new DiscoveryIndex(postings, melted.map { case (c, vs) => c -> vs.size }.toMap, containment, threshold)
+  }
+}
+
+/** Offline builder: melts the repo once, counts joinable column pairs with
+  * the Spark [[Profiles]] self-join, and indexes the melt's values.
   */
 object DiscoveryIndexBuilder {
   def build(spark: SparkSession, repo: TableRepo, threshold: Double = 0.8): DiscoveryIndex = {
-    val cv = Profiles.columnValues(spark, repo).cache()
-    try {
-      val colValues: Map[ColumnRef, Set[String]] = cv.collect()
-        .map(r => (ColumnRef(r.getString(0), r.getString(1)), r.getString(2)))
-        .groupBy(_._1)
-        .map { case (c, vs) => c -> vs.map(_._2).toSet }
-      // Columns that exist but produced no values still need an entry.
-      val allCols = repo.columnRefs.map(c => c -> colValues.getOrElse(c, Set.empty[String])).toMap
-      val cont: Map[(ColumnRef, ColumnRef), Double] =
-        Profiles.joinablePairs(cv, threshold).collect().map { r =>
-          (ColumnRef(r.getString(0), r.getString(1)), ColumnRef(r.getString(2), r.getString(3))) ->
-            r.getDouble(5)
-        }.toMap
-      new DiscoveryIndex(allCols, cont, threshold)
-    } finally cv.unpersist()
+    val melted = Profiles.melt(repo)
+    val cont: Map[(ColumnRef, ColumnRef), Double] =
+      Profiles.joinablePairs(Profiles.frame(spark, melted), threshold).collect().map { r =>
+        (ColumnRef(r.getString(0), r.getString(1)), ColumnRef(r.getString(2), r.getString(3))) ->
+          r.getDouble(5)
+      }.toMap
+    DiscoveryIndex(melted, cont, threshold)
   }
 }

@@ -1,31 +1,45 @@
 package repro.discovery
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import java.util.Locale
+import org.apache.spark.sql.{DataFrame, Row, SparkSession}
 import org.apache.spark.sql.functions._
+import org.apache.spark.sql.types.{StringType, StructField, StructType}
+import scala.jdk.CollectionConverters._
 
+import repro.core.ColumnRef
 import repro.data.TableRepo
 
-/** Distributed column profiling over a pathless table collection.
+/** Column profiling over a pathless table collection.
   *
-  * This is the offline, heavy part of the DISCOVERY ENGINE (Challenge 2):
-  * every table is melted into `(tbl, col, value)` triples with DataFrame
-  * ops, and all-pairs column overlaps are computed with a distributed
-  * self-join on `value` — the Spark equivalent of Aurum profiling a data
-  * lake. The resulting aggregates are small (columns², not rows²) and are
-  * collected into the online [[DiscoveryIndex]].
+  * This is the offline part of the DISCOVERY ENGINE (Challenge 2): the repo
+  * is melted on the driver, from the tables it collects once, into distinct
+  * normalized `(tbl, col, value)` triples, and all-pairs column overlaps are
+  * computed with a Spark self-join on `value` — the Spark equivalent of
+  * Aurum profiling a data lake. The resulting aggregates are small
+  * (columns², not rows²) and are collected into the online
+  * [[DiscoveryIndex]].
   */
 object Profiles {
 
-  /** Melt a whole repo into distinct `(tbl, col, value)` triples. */
-  def columnValues(spark: SparkSession, repo: TableRepo): DataFrame = {
-    val melted = repo.tables.toSeq.sortBy(_._1).map { case (name, df) =>
-      val structs = df.columns.map { cName =>
-        struct(lit(name).as("tbl"), lit(cName).as("col"),
-          col(cName).cast("string").as("value"))
-      }
-      df.select(explode(array(structs.toIndexedSeq: _*)).as("x")).select("x.*")
-    }
-    melted.reduce(_ unionByName _).where(col("value").isNotNull).distinct()
+  /** The one value normalization: every comparison of cell values with each
+    * other or with example values — SEARCH-KEYWORD, overlap scores and
+    * containment — goes through it.
+    */
+  def normalize(value: String): String = value.toLowerCase(Locale.ROOT)
+
+  /** Each column's distinct normalized non-null values, in
+    * `repo.columnRefs` order; a column without values gets an empty vector.
+    */
+  def melt(repo: TableRepo): Vector[(ColumnRef, Vector[String])] =
+    repo.columnRefs.map(c => c -> repo.values(c).map(normalize).distinct)
+
+  /** The melt as one DataFrame of `(tbl, col, value)` triples. */
+  def columnValues(spark: SparkSession, repo: TableRepo): DataFrame = frame(spark, melt(repo))
+
+  private[discovery] def frame(spark: SparkSession, melted: Seq[(ColumnRef, Seq[String])]): DataFrame = {
+    val schema = StructType(Seq("tbl", "col", "value").map(StructField(_, StringType, nullable = false)))
+    val rows = melted.flatMap { case (c, vs) => vs.map(v => Row(c.table, c.column, v)) }
+    spark.createDataFrame(rows.asJava, schema)
   }
 
   /** Per-column distinct-value counts: `(tbl, col, distinct_count)`. */

@@ -24,7 +24,7 @@ object TableII {
   }
 
   def queries(e: Env): Vector[NoisyQuery] =
-    e.repo.groundTruths.map(gt => QueryGen.generate(gt, repro.core.NoiseLevel.Zero, 0, e.index.values))
+    e.repo.groundTruths.map(gt => QueryGen.generate(gt, repro.core.NoiseLevel.Zero, 0, e.repo.values))
 
   def run(spark: SparkSession): Vector[TaskRow] = {
     val e = env(spark)

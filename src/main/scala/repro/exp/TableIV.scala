@@ -37,7 +37,7 @@ object TableIV {
     for {
       gt <- repo.groundTruths.filter(g => gtNames.contains(g.name))
       level <- NoiseLevel.all
-    } yield distillFor(ver, QueryGen.generate(gt, level, 0, index.values), materializeCap)
+    } yield distillFor(ver, QueryGen.generate(gt, level, 0, repo.values), materializeCap)
   }
 
   def run(spark: SparkSession): Vector[DistillRow] = {

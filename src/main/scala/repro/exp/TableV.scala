@@ -24,17 +24,15 @@ object TableV {
   }
 
   def run(spark: SparkSession): Vector[HitCell] = {
-    val envs = Vector(ChemblLite(spark), WdcLite(spark)).map { repo =>
-      val index = DiscoveryIndexBuilder.build(spark, repo)
-      (repo, index, new Ver(repo, index))
-    }
+    val vers = Vector(ChemblLite(spark), WdcLite(spark))
+      .map(repo => new Ver(repo, DiscoveryIndexBuilder.build(spark, repo)))
     val cells = for {
       strategy <- Strategies
       level <- NoiseLevel.all
     } yield {
       var hits = 0; var total = 0; var views = 0L
-      for ((repo, index, ver) <- envs; gt <- repo.groundTruths; r <- 0 until Replicates) {
-        val nq = QueryGen.generate(gt, level, r, index.values)
+      for (ver <- vers; gt <- ver.repo.groundTruths; r <- 0 until Replicates) {
+        val nq = QueryGen.generate(gt, level, r, ver.repo.values)
         val res = ver.searchSpecs(nq.query, strategy)
         if (Ver.hit(res, gt)) hits += 1
         total += 1

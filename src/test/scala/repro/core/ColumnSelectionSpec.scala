@@ -14,7 +14,7 @@ class ColumnSelectionSpec extends AnyFunSuite {
   private val coll  = ColumnRef("misc", "tag")
   private val other = ColumnRef("far", "f")
 
-  private val index = new DiscoveryIndex(
+  private val index = DiscoveryIndex(
     Map(
       gt    -> Set("a", "b", "c", "d", "e"),
       noise -> Set("a", "b", "c", "d", "n1"),   // containment 4/5 with gt
@@ -32,9 +32,12 @@ class ColumnSelectionSpec extends AnyFunSuite {
     assert(ColumnSelection.candidateColumns(Vector("nope"), index).isEmpty)
   }
   test("overlap counts distinct contained examples") {
-    assert(ColumnSelection.overlap(gt, Vector("a", "b", "n1"), index) == 2)
-    assert(ColumnSelection.overlap(noise, Vector("a", "b", "n1"), index) == 3)
-    assert(ColumnSelection.overlap(gt, Vector("a", "a"), index) == 1)
+    for (ex <- Seq(Vector("a", "b", "n1"), Vector("A", "b", "N1"))) {
+      assert(index.overlap(gt, ex) == 2, s"examples=$ex")
+      assert(index.overlap(noise, ex) == 3, s"examples=$ex")
+    }
+    assert(index.overlap(gt, Vector("a", "a")) == 1)
+    assert(index.overlap(gt, Vector("a", "A")) == 1, "case variants are one value")
   }
   test("clusters: connected components with the noise column in the gt cluster") {
     val cs = ColumnSelection.clusters(Vector("a", "b", "n1"), index)
@@ -75,15 +78,18 @@ class ColumnSelectionSpec extends AnyFunSuite {
     }
   }
   test("SelectBest collapses on a noisy query: the noise column wins") {
-    val sel = ColumnStrategy.SelectBest.select(Vector("a", "b", "n1"), index)
-    assert(sel == Set(noise), "SQuID-style argmax drops the ground-truth column")
+    for (ex <- Seq(Vector("a", "b", "n1"), Vector("A", "B", "n1"))) {
+      val sel = ColumnStrategy.SelectBest.select(ex, index)
+      assert(sel == Set(noise), s"SQuID-style argmax drops the ground-truth column, examples=$ex")
+    }
   }
   test("SelectBest keeps ties") {
-    val sel = ColumnStrategy.SelectBest.select(Vector("a", "b"), index)
-    assert(sel == Set(gt, noise))
+    for (ex <- Seq(Vector("a", "b"), Vector("A", "b")))
+      assert(ColumnStrategy.SelectBest.select(ex, index) == Set(gt, noise), s"examples=$ex")
   }
   test("SelectBest on clean examples finds the ground truth") {
-    assert(ColumnStrategy.SelectBest.select(Vector("a", "b", "e"), index) == Set(gt))
+    for (ex <- Seq(Vector("a", "b", "e"), Vector("a", "B", "E")))
+      assert(ColumnStrategy.SelectBest.select(ex, index) == Set(gt), s"examples=$ex")
   }
   test("strategy names match Table V's column headers") {
     assert(ColumnStrategy.SelectAll.name == "SA")

@@ -7,7 +7,7 @@ import repro.discovery.DiscoveryIndex
 class FastTopKSpec extends AnyFunSuite {
   private val s1 = ColumnRef("t1", "s"); private val p1 = ColumnRef("t1", "p")
   private val s2 = ColumnRef("t2", "s"); private val p2 = ColumnRef("t2", "p")
-  private val index = new DiscoveryIndex(
+  private val index = DiscoveryIndex(
     Map(
       s1 -> Set("a", "b", "c"), p1 -> Set("x", "y"),
       s2 -> Set("a", "b", "c", "d", "e"), p2 -> Set("x", "z"),

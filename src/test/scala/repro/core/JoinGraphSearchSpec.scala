@@ -21,7 +21,7 @@ class JoinGraphSearchSpec extends AnyFunSuite {
     c("t4", "a") -> Set("2"), c("t4", "b") -> Set("4"),
     c("t5", "z") -> Set("7"),
   )
-  private val index = new DiscoveryIndex(cols, Map(
+  private val index = DiscoveryIndex(cols, Map(
     (c("t1", "k"), c("t2", "k")) -> 1.0,
     (c("t1", "a"), c("t4", "a")) -> 1.0,
     (c("t2", "b"), c("t4", "b")) -> 1.0,

@@ -1,5 +1,7 @@
 package repro.core
 
+import java.util.Locale
+
 import repro.SparkSpec
 import repro.data._
 import repro.discovery.{DiscoveryIndex, DiscoveryIndexBuilder}
@@ -20,19 +22,19 @@ class VerEndToEndSpec extends SparkSpec {
 
   test("COLUMN-SELECTION finds every ground truth at zero noise") {
     for ((repo, index, ver) <- envs; gt <- repo.groundTruths) {
-      val nq = QueryGen.generate(gt, NoiseLevel.Zero, 0, index.values)
+      val nq = QueryGen.generate(gt, NoiseLevel.Zero, 0, repo.values)
       assert(Ver.hit(ver.searchSpecs(nq.query), gt), gt.name)
     }
   }
   test("COLUMN-SELECTION still finds the ground truth at medium noise") {
     for ((repo, index, ver) <- envs; gt <- repo.groundTruths) {
-      val nq = QueryGen.generate(gt, NoiseLevel.Med, 0, index.values)
+      val nq = QueryGen.generate(gt, NoiseLevel.Med, 0, repo.values)
       assert(Ver.hit(ver.searchSpecs(nq.query), gt), gt.name)
     }
   }
   test("SELECT-ALL candidate specs are a superset of COLUMN-SELECTION's") {
     for ((repo, index, ver) <- envs; gt <- repo.groundTruths.take(2)) {
-      val nq = QueryGen.generate(gt, NoiseLevel.Zero, 0, index.values)
+      val nq = QueryGen.generate(gt, NoiseLevel.Zero, 0, repo.values)
       val cs = ver.searchSpecs(nq.query, ColumnStrategy.ColumnSelection()).specs.map(_.key).toSet
       val sa = ver.searchSpecs(nq.query, ColumnStrategy.SelectAll).specs.map(_.key).toSet
       assert(cs.subsetOf(sa), gt.name)
@@ -40,7 +42,7 @@ class VerEndToEndSpec extends SparkSpec {
   }
   test("SELECT-BEST candidate specs are a subset of SELECT-ALL's") {
     for ((repo, index, ver) <- envs; gt <- repo.groundTruths.take(2)) {
-      val nq = QueryGen.generate(gt, NoiseLevel.Zero, 0, index.values)
+      val nq = QueryGen.generate(gt, NoiseLevel.Zero, 0, repo.values)
       val sb = ver.searchSpecs(nq.query, ColumnStrategy.SelectBest).specs.map(_.key).toSet
       val sa = ver.searchSpecs(nq.query, ColumnStrategy.SelectAll).specs.map(_.key).toSet
       assert(sb.subsetOf(sa), gt.name)
@@ -50,14 +52,14 @@ class VerEndToEndSpec extends SparkSpec {
     val misses = (for {
       (repo, index, ver) <- envs; gt <- repo.groundTruths; r <- 0 until 3
     } yield {
-      val nq = QueryGen.generate(gt, NoiseLevel.High, r, index.values)
+      val nq = QueryGen.generate(gt, NoiseLevel.High, r, repo.values)
       Ver.hit(ver.searchSpecs(nq.query, ColumnStrategy.SelectBest), gt)
     }).count(_ == false)
     assert(misses >= 20, s"SB must miss most of the 30 high-noise queries (missed $misses)")
   }
   test("the search result funnel reports consistent statistics") {
     val gt = wdcRepo.groundTruths.head
-    val nq = QueryGen.generate(gt, NoiseLevel.Zero, 0, wdcIndex.values)
+    val nq = QueryGen.generate(gt, NoiseLevel.Zero, 0, wdcRepo.values)
     val r = wdcVer.searchSpecs(nq.query)
     assert(r.views == r.specs.size)
     assert(r.joinGraphs >= r.views, "specs deduplicate join graphs")
@@ -66,13 +68,13 @@ class VerEndToEndSpec extends SparkSpec {
   }
   test("ranked specs put smaller join graphs first") {
     val gt = wdcRepo.groundTruths.head
-    val nq = QueryGen.generate(gt, NoiseLevel.Zero, 0, wdcIndex.values)
+    val nq = QueryGen.generate(gt, NoiseLevel.Zero, 0, wdcRepo.values)
     val hops = wdcVer.searchSpecs(nq.query).specs.map(_.hops)
     assert(hops == hops.sorted)
   }
   test("chembl-Q3 materializes a compatible trio (aligned join keys)") {
     val gt = chemblRepo.groundTruths.find(_.name == "chembl-Q3").get
-    val nq = QueryGen.generate(gt, NoiseLevel.Zero, 0, chemblIndex.values)
+    val nq = QueryGen.generate(gt, NoiseLevel.Zero, 0, chemblRepo.values)
     val views = chemblVer.materialize(chemblVer.searchSpecs(nq.query), limit = 40)
     val report = ViewDistillation.distill(views)
     assert(report.afterCompatible < report.original,
@@ -81,7 +83,7 @@ class VerEndToEndSpec extends SparkSpec {
   }
   test("wdc-Q2 distillation prunes contained views sharply") {
     val gt = wdcRepo.groundTruths.find(_.name == "wdc-Q2").get
-    val nq = QueryGen.generate(gt, NoiseLevel.Zero, 0, wdcIndex.values)
+    val nq = QueryGen.generate(gt, NoiseLevel.Zero, 0, wdcRepo.values)
     val views = wdcVer.materialize(wdcVer.searchSpecs(nq.query), limit = 50)
     val report = ViewDistillation.distill(views)
     assert(report.afterContained < report.afterCompatible)
@@ -89,7 +91,7 @@ class VerEndToEndSpec extends SparkSpec {
   }
   test("a perfect simulated user finds the ground-truth view end to end") {
     val gt = wdcRepo.groundTruths.find(_.name == "wdc-Q3").get
-    val nq = QueryGen.generate(gt, NoiseLevel.Zero, 0, wdcIndex.values)
+    val nq = QueryGen.generate(gt, NoiseLevel.Zero, 0, wdcRepo.values)
     val views = wdcVer.materialize(wdcVer.searchSpecs(nq.query), limit = 50)
     val report = ViewDistillation.distill(views)
     val target = Materializer.materialize(wdcRepo, gt.spec, "target")
@@ -102,5 +104,17 @@ class VerEndToEndSpec extends SparkSpec {
   test("empty candidate sets short-circuit to an empty result") {
     val r = wdcVer.searchSpecs(ExampleQuery(Vector(Vector("no-such-value"), Vector("State_01"))))
     assert(r.specs.isEmpty && r.views == 0)
+  }
+  test("lower-cased examples select the same columns and cluster scores as the original case") {
+    val ex = Vector("State_12", "State_19", "State_09")
+    val lower = ex.map(_.toLowerCase(Locale.ROOT))
+    val sa = ColumnStrategy.SelectAll.select(ex, wdcIndex)
+    assert(ColumnStrategy.SelectAll.select(lower, wdcIndex) == sa)
+    val sb = ColumnStrategy.SelectBest.select(ex, wdcIndex)
+    assert(sb.size < sa.size, "SB keeps only the best-overlap columns")
+    assert(ColumnStrategy.SelectBest.select(lower, wdcIndex) == sb)
+    assert(ColumnSelection.clusters(lower, wdcIndex) == ColumnSelection.clusters(ex, wdcIndex))
+    assert(ColumnStrategy.ColumnSelection().select(lower, wdcIndex) ==
+      ColumnStrategy.ColumnSelection().select(ex, wdcIndex))
   }
 }

@@ -1,5 +1,10 @@
 package repro.discovery
 
+import org.apache.spark.sql.Row
+import org.apache.spark.sql.types.{StringType, StructField, StructType}
+import org.scalacheck.{Gen, Prop, Test => SCTest}
+import scala.jdk.CollectionConverters._
+
 import repro.SparkSpec
 import repro.core.ColumnRef
 import repro.data.TableRepo
@@ -22,13 +27,16 @@ class DiscoveryIndexSpec extends SparkSpec {
   private lazy val index = DiscoveryIndexBuilder.build(spark, repo, threshold = 0.6)
 
   test("every column is profiled, including join-free ones") {
-    assert(index.columnValues.keySet == repo.columnRefs.toSet)
+    assert(index.distinctCounts.keySet == repo.columnRefs.toSet)
+    assert(index.distinctCount(ColumnRef("unrelated", "w")) == 1)
   }
   test("values are collected per column") {
-    assert(index.values(ColumnRef("users", "city")) == Vector("lima", "paris", "tokyo"))
+    assert(repo.values(ColumnRef("users", "city")) == Vector("lima", "paris", "tokyo"))
+    assert(index.distinctCount(ColumnRef("users", "city")) == 3)
   }
   test("values rejects unknown columns") {
-    intercept[RuntimeException](index.values(ColumnRef("nope", "x")))
+    intercept[IllegalArgumentException](repo.values(ColumnRef("users", "nope")))
+    intercept[RuntimeException](repo.values(ColumnRef("nope", "x")))
   }
   test("joinable pairs respect the threshold") {
     // users.uid {u1,u2,u3} vs orders.uid {u1,u2}: containment max(2/3, 2/2) = 1.0
@@ -62,7 +70,57 @@ class DiscoveryIndexSpec extends SparkSpec {
   }
   test("the index build is deterministic") {
     val again = DiscoveryIndexBuilder.build(spark, repo, threshold = 0.6)
-    assert(again.columnValues == index.columnValues)
+    assert(again.postings == index.postings)
+    assert(again.distinctCounts == index.distinctCounts)
     assert(again.containment == index.containment)
+  }
+
+  test("randomized: containment equals a driver reference, and keyword search agrees with overlap") {
+    val alphabet = Vector("a", "A", "b", "B", "Ab", "aB", "c")
+    val cell = Gen.frequency(6 -> Gen.oneOf(alphabet), 1 -> Gen.const(null: String))
+    val tableGen = for {
+      nCols <- Gen.choose(2, 3)
+      nRows <- Gen.choose(0, 5)
+      rows <- Gen.listOfN(nRows, Gen.listOfN(nCols, cell))
+    } yield (Vector.tabulate(nCols)(i => s"c$i"), rows)
+    val caseGen = for {
+      nTables <- Gen.choose(2, 4)
+      tables <- Gen.listOfN(nTables, tableGen)
+      threshold <- Gen.oneOf(0.0, 0.5, 0.8, 1.0)
+    } yield (tables.zipWithIndex.map { case ((cols, rows), i) =>
+      // Table t0 always holds one value, in two cases, in every column.
+      s"t$i" -> (cols, if (i == 0) rows :+ cols.indices.map(j => if (j % 2 == 0) "Dup" else "dUP").toList else rows)
+    }.toMap, threshold)
+
+    val prop = Prop.forAllNoShrink(caseGen) { case (tables, threshold) =>
+      val repo = TableRepo("random", tables.map { case (t, (cols, rows)) =>
+        t -> spark.createDataFrame(rows.map(r => Row.fromSeq(r)).asJava,
+          StructType(cols.map(StructField(_, StringType, nullable = true))))
+      }, Vector.empty)
+      val idx = DiscoveryIndexBuilder.build(spark, repo, threshold)
+
+      // Reference: per-column sets of lower-cased values, all pairs compared.
+      val sets = tables.toVector.flatMap { case (t, (cols, rows)) =>
+        cols.indices.map(j => ColumnRef(t, cols(j)) ->
+          rows.flatMap(r => Option(r(j))).map(Profiles.normalize).toSet)
+      }.toMap
+      val expected = (for {
+        (a, va) <- sets; (b, vb) <- sets
+        if a.table != b.table && a.toString < b.toString
+        ov = (va intersect vb).size
+        if ov > 0
+        score = math.max(ov.toDouble / va.size, ov.toDouble / vb.size)
+        if score >= threshold
+      } yield (a, b) -> score).toMap
+      assert(idx.containment == expected)
+      assert(idx.distinctCounts == sets.map { case (c, vs) => c -> vs.size })
+      for (v <- alphabet :+ "Dup" :+ "absent"; c <- repo.columnRefs) {
+        assert(idx.searchKeyword(v).contains(c) == (idx.overlap(c, Vector(v)) == 1), s"$v in $c")
+        assert(idx.searchKeyword(v).contains(c) == sets(c).contains(Profiles.normalize(v)), s"$v in $c")
+      }
+      true
+    }
+    val res = SCTest.check(SCTest.Parameters.default.withMinSuccessfulTests(25), prop)
+    assert(res.passed, res.status.toString)
   }
 }
