@@ -49,6 +49,15 @@ final case class DistillReport(
     contradictions: Vector[Contradiction],
 )
 
+/** What one candidate key says about a schema block (Alg. 3 phase 2); see
+  * [[ViewDistillation.keySignals]].
+  */
+final case class KeySignals(
+    contradictions: Vector[Contradiction],
+    complementary: Vector[(String, String)], // view ids, one edge per pair
+    afterUnion: Int,                         // block size once complementary views union
+)
+
 /** VIEW-DISTILLATION (Algorithm 3).
   *
   * Views are compared only inside SCHEMA-BASED-BLOCKS; compatibility and
@@ -90,79 +99,55 @@ object ViewDistillation {
     (kept.sortBy(_.id).toVector, edges.result())
   }
 
-  /** Phase 2's inverted index: contradictions among `views` under `key`
-    * (only views where `key` is a candidate key participate, Definition 9's
-    * `K(V1) = K(V2)` requirement).
+  /** Phase 2 under one candidate key: the inverted index key value → row →
+    * views over the views of `block` keyed by `key` (Definition 9's
+    * `K(V1) = K(V2)` requirement) yields
+    *  - contradictions: key values that map to two or more rows;
+    *  - complementary pairs (Definition 8, with phase 2's override): views
+    *    sharing some but not all of either's rows, and never on opposite
+    *    sides of a contradiction; ids in `block` order;
+    *  - the view count of `block` after unioning each connected component
+    *    of complementary views into one view.
     */
-  def contradictionsFor(block: Vector[MatView], key: String): Vector[Contradiction] = {
+  def keySignals(block: Vector[MatView], key: String): KeySignals = {
     val keyed = block.filter(_.candidateKeys.contains(key))
-    if (keyed.size < 2) return Vector.empty
-    // keyValue -> row -> views asserting that row
-    val index = mutable.Map.empty[String, mutable.Map[Vector[String], mutable.Set[String]]]
-    for (v <- keyed; row <- v.rowSet) {
-      val kv = row(v.columnIndex(key))
-      index.getOrElseUpdate(kv, mutable.Map.empty)
-        .getOrElseUpdate(row, mutable.Set.empty) += v.id
+    val index = mutable.Map.empty[String, mutable.Map[Vector[String], mutable.Set[Int]]]
+    for ((v, i) <- keyed.zipWithIndex; row <- v.rowSet) {
+      index.getOrElseUpdate(row(v.columnIndex(key)), mutable.Map.empty)
+        .getOrElseUpdate(row, mutable.Set.empty) += i
     }
-    index.toVector.collect {
-      case (kv, groups) if groups.size >= 2 =>
-        Contradiction(key, kv, groups.toVector.sortBy(_._1.mkString(" ")).map(_._2.toSet))
-    }.sortBy(c => (c.key, c.keyValue))
+    // A keyed view asserts one row per key value, so a pair sharing a row
+    // shares it under that row's key value only.
+    val shared = mutable.Map.empty[(Int, Int), Int].withDefaultValue(0)
+    val opposed = mutable.Set.empty[(Int, Int)]
+    for (groups <- index.values) {
+      val sides = groups.values.toVector.map(_.toVector.sorted)
+      for (side <- sides; a <- side.indices; b <- a + 1 until side.size) shared((side(a), side(b))) += 1
+      for (x <- sides.indices; y <- x + 1 until sides.size; i <- sides(x); j <- sides(y))
+        opposed += ((i min j, i max j))
+    }
+    val pairs = shared.toVector.collect {
+      case ((i, j), n) if n < keyed(i).size && n < keyed(j).size && !opposed((i, j)) => (i, j)
+    }.sorted
+    val parent = Array.tabulate(keyed.size)(identity)
+    def find(x: Int): Int = { if (parent(x) != x) parent(x) = find(parent(x)); parent(x) }
+    for ((i, j) <- pairs) parent(find(i)) = find(j)
+    KeySignals(
+      contradictions = index.toVector.collect {
+        case (kv, groups) if groups.size >= 2 =>
+          Contradiction(key, kv,
+            groups.toVector.sortBy(_._1.mkString(" ")).map(_._2.map(keyed(_).id).toSet))
+      }.sortBy(_.keyValue),
+      complementary = pairs.map { case (i, j) => (keyed(i).id, keyed(j).id) },
+      afterUnion = block.size - keyed.size + keyed.indices.count(i => find(i) == i))
   }
 
-  /** Whether two views contradict under `key` (some shared key value maps
-    * to different rows).
-    */
-  def contradicts(v1: MatView, v2: MatView, key: String): Boolean = {
-    val i1 = v1.columnIndex(key); val i2 = v2.columnIndex(key)
-    val m1 = v1.rowSet.groupBy(_(i1)); val m2 = v2.rowSet.groupBy(_(i2))
-    (m1.keySet intersect m2.keySet).exists(kv => m1(kv) != m2(kv))
-  }
-
-  /** Complementary pairs under `key` (Definition 8, with phase-2 override:
-    * pairs that contradict under the same key are excluded).
-    */
-  def complementaryPairs(block: Vector[MatView], key: String): Vector[(MatView, MatView)] = {
-    val keyed = block.filter(_.candidateKeys.contains(key)).sortBy(_.id)
-    for {
-      i <- keyed.indices.toVector; j <- (i + 1 until keyed.size).toVector
-      v1 = keyed(i); v2 = keyed(j)
-      if (v1.rowSet intersect v2.rowSet).nonEmpty
-      if !v1.rowSet.subsetOf(v2.rowSet) && !v2.rowSet.subsetOf(v1.rowSet)
-      if !contradicts(v1, v2, key)
-    } yield (v1, v2)
-  }
-
-  /** Number of views left in `block` after unioning complementary views
-    * under `key` (connected components of the complementary graph union
-    * into one view each; views without the key are untouched).
-    */
-  def countAfterUnion(block: Vector[MatView], key: String): Int = {
-    val keyed = block.filter(_.candidateKeys.contains(key))
-    val others = block.size - keyed.size
-    if (keyed.isEmpty) return block.size
-    val parent = mutable.Map(keyed.map(v => v.id -> v.id): _*)
-    def find(x: String): String = { if (parent(x) != x) parent(x) = find(parent(x)); parent(x) }
-    for ((a, b) <- complementaryPairs(block, key)) parent(find(a.id)) = find(b.id)
-    others + keyed.map(v => find(v.id)).distinct.size
-  }
-
-  /** C3 best/worst counts for one block: min/max over candidate keys shared
-    * by ≥ 2 views; no valid shared key ⇒ no unions possible (paper: "many
+  /** The full distillation pipeline over a candidate-view collection. C3
+    * best/worst are the min/max of `afterUnion` over candidate keys shared
+    * by ≥ 2 views; with no such key no union is possible (paper: "many
     * views do not have valid candidate keys, so there are no unionable
     * views").
     */
-  def c3Counts(block: Vector[MatView]): (Int, Int) = {
-    val keys = block.flatMap(_.candidateKeys).groupBy(identity)
-      .collect { case (k, occ) if occ.size >= 2 => k }.toVector.sorted
-    if (keys.isEmpty) (block.size, block.size)
-    else {
-      val counts = keys.map(k => countAfterUnion(block, k))
-      (counts.max, counts.min) // (worst = least reduction, best = most)
-    }
-  }
-
-  /** The full distillation pipeline over a candidate-view collection. */
   def distill(views: Seq[MatView]): DistillReport = {
     val blocks = schemaBlocks(views)
     val edges = Vector.newBuilder[ViewEdge]
@@ -178,21 +163,21 @@ object ViewDistillation {
       afterC2 += c2.size
       distilled ++= c2
       val keys = c2.flatMap(_.candidateKeys).distinct.sorted
-      for (k <- keys) {
-        val cs = contradictionsFor(c2, k)
-        contradictions ++= cs
-        edges ++= cs.flatMap { c =>
+        .filter(k => c2.count(_.candidateKeys.contains(k)) >= 2)
+      val counts = for (k <- keys) yield {
+        val s = keySignals(c2, k)
+        contradictions ++= s.contradictions
+        edges ++= s.contradictions.flatMap { c =>
           for {
             i <- c.sides.indices; j <- i + 1 until c.sides.size
             a <- c.sides(i).toVector.sorted; b <- c.sides(j).toVector.sorted
           } yield ViewEdge(a, b, Rel.Contradictory, Some(k))
         }
-        edges ++= complementaryPairs(c2, k).map { case (a, b) =>
-          ViewEdge(a.id, b.id, Rel.Complementary, Some(k))
-        }
+        edges ++= s.complementary.map { case (a, b) => ViewEdge(a, b, Rel.Complementary, Some(k)) }
+        s.afterUnion
       }
-      val (w, b) = c3Counts(c2)
-      worst += w; best += b
+      // worst = least reduction, best = most
+      worst += counts.maxOption.getOrElse(c2.size); best += counts.minOption.getOrElse(c2.size)
     }
     DistillReport(views.size, afterC1, afterC2, worst, best,
       edges.result().distinct, distilled.result(), contradictions.result().distinct)

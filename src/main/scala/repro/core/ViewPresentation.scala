@@ -186,11 +186,8 @@ final class Presenter(
           val probs = weights.map { case (i, w) =>
             i -> ((if (total > 0) (1 - gamma) * w / total else (1 - gamma) / n) + gamma / n)
           }
-          val z = probs.map(_._2).sum
-          var u = rng.nextDouble() * z
-          var pick = probs.head._1
-          for ((i, p) <- probs) { if (u > 0) { u -= p; if (u <= 0) pick = i } }
-          pick
+          val ps = probs.map(_._2)
+          probs(Presenter.sampleArm(ps, rng.nextDouble() * ps.sum))._1
         }
       val q = byIface(chosen)
       asked(chosen) += 1
@@ -227,5 +224,16 @@ final class Presenter(
       }
     }
     Session(ranking.take(user.patience).exists(satisfies), interactions, s.size, asked.toMap)
+  }
+}
+
+object Presenter {
+  /** Index of the first arm whose cumulative probability exceeds `u`, for
+    * `u` drawn uniformly from [0, Σ probs); the last arm when rounding
+    * leaves `u` at or above the cumulative total.
+    */
+  def sampleArm(probs: Vector[Double], u: Double): Int = {
+    val i = probs.scanLeft(0.0)(_ + _).tail.indexWhere(u < _)
+    if (i < 0) probs.size - 1 else i
   }
 }

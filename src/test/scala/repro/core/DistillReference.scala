@@ -1,0 +1,109 @@
+package repro.core
+
+import scala.collection.mutable
+
+/** Reference VIEW-DISTILLATION phase 2: the pairwise implementation that
+  * `ViewDistillation.keySignals` replaced. Contradictions come from an
+  * inverted index, complementary pairs from comparing every pair of keyed
+  * views (re-grouping both views' rows per pair), and C3 re-runs the pair
+  * comparison for every key. C1 and C2 are the production functions.
+  * Slow but simple; tests compare `ViewDistillation.distill` against it.
+  */
+object DistillReference {
+
+  def contradictionsFor(block: Vector[MatView], key: String): Vector[Contradiction] = {
+    val keyed = block.filter(_.candidateKeys.contains(key))
+    if (keyed.size < 2) return Vector.empty
+    // keyValue -> row -> views asserting that row
+    val index = mutable.Map.empty[String, mutable.Map[Vector[String], mutable.Set[String]]]
+    for (v <- keyed; row <- v.rowSet) {
+      val kv = row(v.columnIndex(key))
+      index.getOrElseUpdate(kv, mutable.Map.empty)
+        .getOrElseUpdate(row, mutable.Set.empty) += v.id
+    }
+    index.toVector.collect {
+      case (kv, groups) if groups.size >= 2 =>
+        Contradiction(key, kv, groups.toVector.sortBy(_._1.mkString(" ")).map(_._2.toSet))
+    }.sortBy(c => (c.key, c.keyValue))
+  }
+
+  /** Whether two views contradict under `key` (some shared key value maps
+    * to different rows).
+    */
+  def contradicts(v1: MatView, v2: MatView, key: String): Boolean = {
+    val i1 = v1.columnIndex(key); val i2 = v2.columnIndex(key)
+    val m1 = v1.rowSet.groupBy(_(i1)); val m2 = v2.rowSet.groupBy(_(i2))
+    (m1.keySet intersect m2.keySet).exists(kv => m1(kv) != m2(kv))
+  }
+
+  /** Complementary pairs under `key`: overlap, no containment, and no
+    * contradiction under the same key.
+    */
+  def complementaryPairs(block: Vector[MatView], key: String): Vector[(MatView, MatView)] = {
+    val keyed = block.filter(_.candidateKeys.contains(key)).sortBy(_.id)
+    for {
+      i <- keyed.indices.toVector; j <- (i + 1 until keyed.size).toVector
+      v1 = keyed(i); v2 = keyed(j)
+      if (v1.rowSet intersect v2.rowSet).nonEmpty
+      if !v1.rowSet.subsetOf(v2.rowSet) && !v2.rowSet.subsetOf(v1.rowSet)
+      if !contradicts(v1, v2, key)
+    } yield (v1, v2)
+  }
+
+  /** Views left in `block` after unioning complementary views under `key`. */
+  def countAfterUnion(block: Vector[MatView], key: String): Int = {
+    val keyed = block.filter(_.candidateKeys.contains(key))
+    val others = block.size - keyed.size
+    if (keyed.isEmpty) return block.size
+    val parent = mutable.Map(keyed.map(v => v.id -> v.id): _*)
+    def find(x: String): String = { if (parent(x) != x) parent(x) = find(parent(x)); parent(x) }
+    for ((a, b) <- complementaryPairs(block, key)) parent(find(a.id)) = find(b.id)
+    others + keyed.map(v => find(v.id)).distinct.size
+  }
+
+  /** C3 (worst, best) for one block over keys shared by ≥ 2 views. */
+  def c3Counts(block: Vector[MatView]): (Int, Int) = {
+    val keys = block.flatMap(_.candidateKeys).groupBy(identity)
+      .collect { case (k, occ) if occ.size >= 2 => k }.toVector.sorted
+    if (keys.isEmpty) (block.size, block.size)
+    else {
+      val counts = keys.map(k => countAfterUnion(block, k))
+      (counts.max, counts.min)
+    }
+  }
+
+  def distill(views: Seq[MatView]): DistillReport = {
+    val blocks = ViewDistillation.schemaBlocks(views)
+    val edges = Vector.newBuilder[ViewEdge]
+    var afterC1 = 0; var afterC2 = 0; var worst = 0; var best = 0
+    val distilled = Vector.newBuilder[MatView]
+    val contradictions = Vector.newBuilder[Contradiction]
+    for (block <- blocks) {
+      val (c1, compatEdges) = ViewDistillation.dedupCompatible(block)
+      edges ++= compatEdges
+      afterC1 += c1.size
+      val (c2, containEdges) = ViewDistillation.keepLargestContained(c1)
+      edges ++= containEdges
+      afterC2 += c2.size
+      distilled ++= c2
+      val keys = c2.flatMap(_.candidateKeys).distinct.sorted
+      for (k <- keys) {
+        val cs = contradictionsFor(c2, k)
+        contradictions ++= cs
+        edges ++= cs.flatMap { c =>
+          for {
+            i <- c.sides.indices; j <- i + 1 until c.sides.size
+            a <- c.sides(i).toVector.sorted; b <- c.sides(j).toVector.sorted
+          } yield ViewEdge(a, b, Rel.Contradictory, Some(k))
+        }
+        edges ++= complementaryPairs(c2, k).map { case (a, b) =>
+          ViewEdge(a.id, b.id, Rel.Complementary, Some(k))
+        }
+      }
+      val (w, b) = c3Counts(c2)
+      worst += w; best += b
+    }
+    DistillReport(views.size, afterC1, afterC2, worst, best,
+      edges.result().distinct, distilled.result(), contradictions.result().distinct)
+  }
+}

@@ -88,34 +88,34 @@ class FourCSpec extends AnyFunSuite {
   }
 
   // ---- contradictions ------------------------------------------------------
+  private def signals(block: MatView*): KeySignals = ViewDistillation.keySignals(block.toVector, "k")
+
   test("contradicts: same key value, different rows (Definition 9)") {
-    val a = mv("a", kv, "1" -> "x"); val b = mv("b", kv, "1" -> "y")
-    assert(ViewDistillation.contradicts(a, b, "k"))
+    val s = signals(mv("a", kv, "1" -> "x"), mv("b", kv, "1" -> "y"))
+    assert(s.contradictions == Vector(Contradiction("k", "1", Vector(Set("a"), Set("b")))))
   }
   test("no contradiction when shared key values agree") {
-    val a = mv("a", kv, "1" -> "x", "2" -> "y"); val b = mv("b", kv, "1" -> "x", "3" -> "z")
-    assert(!ViewDistillation.contradicts(a, b, "k"))
+    val s = signals(mv("a", kv, "1" -> "x", "2" -> "y"), mv("b", kv, "1" -> "x", "3" -> "z"))
+    assert(s.contradictions.isEmpty && s.complementary == Vector(("a", "b")))
   }
   test("no contradiction without shared key values") {
-    val a = mv("a", kv, "1" -> "x"); val b = mv("b", kv, "2" -> "y")
-    assert(!ViewDistillation.contradicts(a, b, "k"))
+    assert(signals(mv("a", kv, "1" -> "x"), mv("b", kv, "2" -> "y")).contradictions.isEmpty)
   }
   test("contradictionsFor builds sides from the inverted index") {
-    val block = Vector(
+    val cs = signals(
       mv("a", kv, "1" -> "x", "2" -> "y"),
       mv("b", kv, "1" -> "x", "3" -> "z"),
-      mv("c", kv, "1" -> "w"))
-    val cs = ViewDistillation.contradictionsFor(block, "k")
+      mv("c", kv, "1" -> "w")).contradictions
     assert(cs.size == 1)
     val c = cs.head
     assert(c.keyValue == "1" && c.sides.map(_.toSet).toSet == Set(Set("a", "b"), Set("c")))
     assert(c.discrimination == 2)
   }
   test("views without the candidate key do not participate") {
-    val block = Vector(
+    val s = signals(
       mv("a", kv, "1" -> "x"),
       mv("nokey", kv, "1" -> "y", "1" -> "z", "2" -> "z", "2" -> "y"))
-    assert(ViewDistillation.contradictionsFor(block, "k").isEmpty)
+    assert(s.contradictions.isEmpty && s.afterUnion == 2)
   }
   test("restrictTo drops resolved contradictions") {
     val c = Contradiction("k", "1", Vector(Set("a"), Set("b")))
@@ -125,42 +125,40 @@ class FourCSpec extends AnyFunSuite {
 
   // ---- complementary / C3 --------------------------------------------------
   test("complementary pair: same key, overlap, no containment (Definition 8)") {
-    val block = Vector(
-      mv("a", kv, "1" -> "x", "2" -> "y"), mv("b", kv, "2" -> "y", "3" -> "z"))
-    val pairs = ViewDistillation.complementaryPairs(block, "k")
-    assert(pairs.map { case (x, y) => (x.id, y.id) } == Vector(("a", "b")))
+    val s = signals(mv("a", kv, "1" -> "x", "2" -> "y"), mv("b", kv, "2" -> "y", "3" -> "z"))
+    assert(s.complementary == Vector(("a", "b")) && s.afterUnion == 1)
+    val contained = signals(mv("a", kv, "1" -> "x", "2" -> "y"), mv("sub", kv, "2" -> "y"))
+    assert(contained.complementary.isEmpty && contained.afterUnion == 2)
   }
   test("disjoint views are not complementary (no overlap)") {
-    val block = Vector(mv("a", kv, "1" -> "x"), mv("b", kv, "2" -> "y"))
-    assert(ViewDistillation.complementaryPairs(block, "k").isEmpty)
+    assert(signals(mv("a", kv, "1" -> "x"), mv("b", kv, "2" -> "y")).complementary.isEmpty)
   }
   test("contradictory overrides complementary for the same key") {
-    val block = Vector(
+    val s = signals(
       mv("a", kv, "1" -> "x", "2" -> "y"),
       mv("b", kv, "2" -> "y", "1" -> "z")) // overlap on (2,y), contradiction on k=1
-    assert(ViewDistillation.complementaryPairs(block, "k").isEmpty)
+    assert(s.complementary.isEmpty && s.contradictions.map(_.keyValue) == Vector("1"))
   }
   test("countAfterUnion merges connected components") {
-    val block = Vector(
+    val s = signals(
       mv("a", kv, "1" -> "x", "2" -> "y"),
       mv("b", kv, "2" -> "y", "3" -> "z"),
       mv("c", kv, "9" -> "q"))
-    assert(ViewDistillation.countAfterUnion(block, "k") == 2)
+    assert(s.afterUnion == 2)
   }
   test("c3Counts: best and worst key differ when one key contradicts") {
     // Under k: shared row (2,y), no contradiction → union to 1.
     // Under v: value x maps to (1,x) in a and (3,x) in b → contradiction → 2.
-    val block = Vector(
+    val r = ViewDistillation.distill(Vector(
       mv("a", kv, "1" -> "x", "2" -> "y"),
-      mv("b", kv, "2" -> "y", "3" -> "x"))
-    val (worst, best) = ViewDistillation.c3Counts(block)
-    assert(worst == 2 && best == 1)
+      mv("b", kv, "2" -> "y", "3" -> "x")))
+    assert(r.c3Worst == 2 && r.c3Best == 1)
   }
   test("c3Counts: no shared candidate key means no reduction") {
-    val block = Vector(
+    val r = ViewDistillation.distill(Vector(
       mv("a", kv, "1" -> "x", "1" -> "y", "2" -> "y", "2" -> "x"),
-      mv("b", kv, "3" -> "z", "3" -> "w", "4" -> "w", "4" -> "z"))
-    assert(ViewDistillation.c3Counts(block) == (2, 2))
+      mv("b", kv, "3" -> "z", "3" -> "w", "4" -> "w", "4" -> "z")))
+    assert(r.c3Worst == 2 && r.c3Best == 2)
   }
 
   // ---- distill integration -------------------------------------------------
@@ -222,6 +220,93 @@ class FourCSpec extends AnyFunSuite {
         r.edges.forall(e => e.a != e.b)
     }
     val res = SCTest.check(SCTest.Parameters.default.withMinSuccessfulTests(60), prop)
+    assert(res.passed, res.status.toString)
+  }
+
+  // ---- one pass per key vs the pairwise reference ------------------------
+  private val schemas = Vector(Vector("k", "v"), Vector("k", "v", "w"), Vector("a", "k", "w"))
+  // "a b" / "c" and "a" / "b c" render alike under mkString(" "): rows of a
+  // 3-column view can tie in the contradiction sides' sort order.
+  private val cells = Vector("a", "c", "a b", "b c", "x")
+
+  /** The row's words regrouped into as many cells, so it renders alike. */
+  private def regroup(row: Vector[String]): Gen[Vector[String]] = {
+    val words = row.mkString(" ").split(" ").toVector
+    Gen.pick(row.size - 1, 1 until words.size).map { cuts =>
+      (0 +: cuts.sorted :+ words.size).sliding(2).map(c => words.slice(c(0), c(1)).mkString(" ")).toVector
+    }
+  }
+
+  private def seqOf[T](gs: Seq[Gen[T]]): Gen[Vector[T]] = Gen.sequence[Vector[T], T](gs)
+
+  /** A random view set: 0–10 views over 2 or 3 schemas. Each view takes a
+    * random subset of its schema's base rows (unique `k`); some rows get one
+    * cell replaced or their words regrouped, so keyed views overlap, nest and
+    * disagree.
+    */
+  private val viewSetGen: Gen[Vector[MatView]] = for {
+    picked <- Gen.choose(2, 3).flatMap(n => Gen.pick(n, schemas)).map(_.toVector)
+    bases <- seqOf(picked.map(sc => seqOf((1 to 4).map(k =>
+      seqOf(sc.map(c => if (c == "k") Gen.const(k.toString) else Gen.oneOf(cells)))))))
+    n <- Gen.choose(0, 10)
+    ids <- Gen.pick(n, ('a' to 'p').map(_.toString))
+    views <- seqOf(ids.toVector.map { id =>
+      for {
+        b <- Gen.choose(0, picked.size - 1)
+        rows <- seqOf(bases(b).map(row => Gen.frequency(
+          3 -> Gen.const(Some(row)),
+          1 -> Gen.zip(Gen.choose(0, row.size - 1), Gen.oneOf(cells :+ "1"))
+            .map { case (i, c) => Some(row.updated(i, c)) },
+          1 -> regroup(row).map(Some(_)),
+          2 -> Gen.const(None))))
+      } yield MatView.fromRows(id, ViewSpec.singleTable(picked(b).map(ColumnRef("t", _))),
+        picked(b), rows.flatten)
+    })
+  } yield views
+
+  test("distill equals the pairwise reference on random view sets") {
+    var withComplementary = 0; var withContradictions = 0
+    val prop = Prop.forAll(viewSetGen) { vs =>
+      val r = ViewDistillation.distill(vs)
+      if (r.edges.exists(_.rel == Rel.Complementary)) withComplementary += 1
+      if (r.contradictions.nonEmpty) withContradictions += 1
+      // Phase 2 of distill sees no containment (C2 removed it), so also
+      // compare each key's signals on the raw blocks.
+      val raw = ViewDistillation.schemaBlocks(vs).forall { block =>
+        block.flatMap(_.candidateKeys).distinct.forall { k =>
+          ViewDistillation.keySignals(block, k) == KeySignals(
+            DistillReference.contradictionsFor(block, k),
+            DistillReference.complementaryPairs(block, k).map { case (a, b) => (a.id, b.id) },
+            DistillReference.countAfterUnion(block, k))
+        }
+      }
+      r == DistillReference.distill(vs) && raw
+    }
+    val res = SCTest.check(SCTest.Parameters.default.withMinSuccessfulTests(2000), prop)
+    assert(res.passed, res.status.toString)
+    assert(withComplementary > 0 && withContradictions > 0,
+      s"vacuous: $withComplementary cases with complementary edges, $withContradictions with contradictions")
+  }
+
+  test("4C labels do not depend on view ids or input order") {
+    val renamedGen = for { vs <- viewSetGen; seed <- Gen.long } yield {
+      val rng = new scala.util.Random(seed)
+      val fresh = rng.shuffle(('A' to 'P').map(_.toString))
+      (vs, rng.shuffle(vs.indices.toVector).map(i => vs(i).copy(id = fresh(i))))
+    }
+    def canon(r: DistillReport, vs: Vector[MatView]) = {
+      val sig = vs.map(v => v.id -> (v.schema, v.rowSet)).toMap
+      (r.original, r.afterCompatible, r.afterContained, r.c3Worst, r.c3Best,
+        r.distilled.map(v => (v.schema, v.rowSet)).toSet,
+        r.contradictions.map(c => (c.key, c.keyValue, c.sides.map(_.map(sig)).toSet)),
+        r.edges.collect { case e if e.rel == Rel.Complementary || e.rel == Rel.Contradictory =>
+          (e.rel, Set(sig(e.a), sig(e.b)), e.key)
+        }.toSet)
+    }
+    val prop = Prop.forAll(renamedGen) { case (vs, renamed) =>
+      canon(ViewDistillation.distill(vs), vs) == canon(ViewDistillation.distill(renamed), renamed)
+    }
+    val res = SCTest.check(SCTest.Parameters.default.withMinSuccessfulTests(500), prop)
     assert(res.passed, res.status.toString)
   }
 }

@@ -120,4 +120,13 @@ class PresenterSpec extends AnyFunSuite {
   test("Contradiction discrimination counts the largest agreeing side") {
     assert(Contradiction("k", "1", Vector(Set("a", "b", "c"), Set("d"))).discrimination == 3)
   }
+  test("sampleArm picks the first arm whose cumulative probability exceeds u") {
+    val ps = Vector(0.1, 0.2, 0.7)
+    assert(Presenter.sampleArm(ps, 0.0) == 0)
+    assert(Presenter.sampleArm(ps, 0.1) == 1)
+    assert(Presenter.sampleArm(ps, 0.25) == 1)
+    assert(Presenter.sampleArm(ps, math.nextDown(ps.sum)) == 2)
+    // Rounding can leave u at the total: the last arm, not the first.
+    assert(Presenter.sampleArm(ps, ps.sum) == 2)
+  }
 }
