@@ -4,13 +4,6 @@ import scala.collection.mutable
 
 import repro.discovery.DiscoveryIndex
 
-/** Configuration for JOIN-GRAPH-SEARCH (Algorithm 5). */
-final case class SearchConfig(
-    rho: Int = 2,
-    maxGraphsPerPair: Int = 64,
-    maxViews: Int = 20000,
-)
-
 /** The result of a search: candidate PJ-view specs plus the funnel
   * statistics the paper reports (Figures 5/6: joinable groups, join graphs,
   * views).
@@ -23,70 +16,39 @@ final case class SearchResult(
   def views: Int = specs.size
 }
 
-/** JOIN-GRAPH-SEARCH (Algorithm 5): enumerate combinations of candidate
-  * columns, ask the discovery index for join graphs with at most ρ hops
-  * between their source tables, cache non-joinable table pairs (line 6-8's
+/** JOIN-GRAPH-SEARCH (Algorithm 5) for τ ≤ 2 attributes: for every
+  * combination of candidate columns, ask the discovery index for the join
+  * graphs of at most ρ = 2 hops between the combination's tables (memoized
+  * per table pair, so a non-joinable pair is looked up once — line 6-8's
   * pruning), and return ranked, deduplicated [[ViewSpec]]s — smaller join
   * graphs first, then higher total containment (the discovery-engine score
-  * of Step 2).
+  * of Step 2). τ ≥ 3 is rejected: joining three tables needs a Steiner-tree
+  * enumeration this search does not do.
   */
 object JoinGraphSearch {
 
-  def search(cands: Vector[Set[ColumnRef]], index: DiscoveryIndex,
-             cfg: SearchConfig = SearchConfig()): SearchResult = {
-    require(cands.nonEmpty, "no candidate column sets")
-    val nonJoinable = mutable.Set.empty[(String, String)]
-    val graphCache = mutable.Map.empty[(String, String), Vector[Set[JoinEdge]]]
+  /** Rejects a query this search cannot answer exactly: τ must be 1 or 2. */
+  def requireArity(tau: Int): Unit =
+    require(tau == 1 || tau == 2, s"JOIN-GRAPH-SEARCH takes 1 or 2 attributes (τ ≤ 2), got τ = $tau")
 
-    def graphsFor(t1: String, t2: String): Vector[Set[JoinEdge]] = {
-      val key = if (t1 <= t2) (t1, t2) else (t2, t1)
-      if (nonJoinable.contains(key)) Vector.empty
-      else graphCache.getOrElseUpdate(key, {
-        val gs = index.generateJoinGraphs(t1, t2, cfg.rho, cfg.maxGraphsPerPair)
-        if (gs.isEmpty) nonJoinable += key
-        gs
-      })
-    }
+  def search(cands: Vector[Set[ColumnRef]], index: DiscoveryIndex): SearchResult = {
+    requireArity(cands.size)
+    val sorted = cands.map(_.toVector.sortBy(_.toString))
+    val combos =
+      if (sorted.size == 1) sorted(0).map(Vector(_))
+      else for (a <- sorted(0); b <- sorted(1)) yield Vector(a, b)
+    val graphs = mutable.Map.empty[(String, String), Vector[Set[JoinEdge]]]
+    // Every generated graph is a connected path of ≤ 2 hops between the
+    // combination's (one or two) tables, so each yields a valid spec.
+    val specs = for {
+      combo <- combos
+      (t1, t2) = (combo.head.table, combo.last.table)
+      g <- graphs.getOrElseUpdate(if (t1 <= t2) (t1, t2) else (t2, t1), index.generateJoinGraphs(t1, t2))
+    } yield ViewSpec(Set(t1, t2) ++ g.flatMap(_.tables), g, combo)
 
-    // Enumerate per-pair join graphs for every combination of candidate
-    // columns. For τ > 2 attributes, combinations are connected by merging
-    // the pairwise graphs head-to-rest (approximate Steiner enumeration —
-    // the paper's workloads use τ = 2, which this handles exactly).
-    val specsBuilder = mutable.LinkedHashMap.empty[(Set[String], Set[JoinEdge], Set[ColumnRef]), ViewSpec]
-    var joinGraphCount = 0
-    val joinableGroups = mutable.Set.empty[Set[String]]
-
-    def combos(sets: Vector[Set[ColumnRef]]): Iterator[Vector[ColumnRef]] =
-      sets.foldLeft(Iterator.single(Vector.empty[ColumnRef])) { (acc, s) =>
-        acc.flatMap(prefix => s.toVector.sortBy(_.toString).iterator.map(prefix :+ _))
-      }
-
-    for (combo <- combos(cands)) {
-      val head = combo.head
-      // Merge pairwise graphs from the head table to every other table.
-      val perTail: Vector[Vector[Set[JoinEdge]]] = combo.tail.map { c =>
-        if (c.table == head.table) Vector(Set.empty[JoinEdge])
-        else graphsFor(head.table, c.table)
-      }
-      if (perTail.forall(_.nonEmpty)) {
-        val merged = perTail.foldLeft(Vector(Set.empty[JoinEdge])) { (acc, gs) =>
-          for (a <- acc; g <- gs) yield a ++ g
-        }
-        for (g <- merged.distinct) {
-          val tables = combo.map(_.table).toSet ++ g.flatMap(_.tables)
-          val spec = ViewSpec(tables, g, combo)
-          if (spec.connected && spec.hops <= cfg.rho * math.max(1, combo.size - 1)) {
-            joinGraphCount += 1
-            joinableGroups += tables
-            specsBuilder.getOrElseUpdate(spec.key, spec)
-          }
-        }
-      }
-    }
-
-    val ranked = specsBuilder.values.toVector
-      .sortBy(s => (s.hops, -s.edges.toVector.map(e => index.containmentOf(e.left, e.right)).sum, s.toString))
-      .take(cfg.maxViews)
-    SearchResult(ranked, joinableGroups.size, joinGraphCount)
+    val ranked = specs.distinctBy(_.key)
+      .map(s => ((s.hops, -s.edges.toVector.map(e => index.containmentOf(e.left, e.right)).sum, s.toString), s))
+      .sortBy(_._1).map(_._2)
+    SearchResult(ranked, specs.map(_.tables).distinct.size, specs.size)
   }
 }

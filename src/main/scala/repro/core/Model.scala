@@ -64,8 +64,8 @@ final case class ViewSpec(tables: Set[String], edges: Set[JoinEdge], projection:
     }
   }
 
-  /** Identity used for deduplication across column-pair enumerations. */
-  def key: (Set[String], Set[JoinEdge], Set[ColumnRef]) = (tables, edges, projection.toSet)
+  /** Identity used for deduplication; the projection keeps attribute order. */
+  def key: (Set[String], Set[JoinEdge], Vector[ColumnRef]) = (tables, edges, projection)
 
   override def toString: String =
     s"View(${tables.toSeq.sorted.mkString("+")}; ${edges.toSeq.map(_.toString).sorted.mkString(",")}; π=${projection.mkString(",")})"
@@ -82,10 +82,11 @@ object ViewSpec {
 
 /** Example-based (QBE) query: `columns(i)` holds the user-supplied example
   * values for output attribute `i`. The paper's workload uses 2 columns ×
-  * 3 rows.
+  * 3 rows; JOIN-GRAPH-SEARCH handles at most τ = 2 attributes.
   */
 final case class ExampleQuery(columns: Vector[Vector[String]]) {
   require(columns.nonEmpty && columns.forall(_.nonEmpty), "empty example query")
+  JoinGraphSearch.requireArity(columns.size)
   def arity: Int = columns.size
 }
 

@@ -11,11 +11,10 @@ import repro.discovery.DiscoveryIndex
 final class Ver(val repo: TableRepo, val index: DiscoveryIndex) {
 
   /** COLUMN-SELECTION + JOIN-GRAPH-SEARCH for a QBE query. */
-  def searchSpecs(q: ExampleQuery, strategy: ColumnStrategy = ColumnStrategy.ColumnSelection(),
-                  cfg: SearchConfig = SearchConfig()): SearchResult = {
+  def searchSpecs(q: ExampleQuery, strategy: ColumnStrategy = ColumnStrategy.ColumnSelection()): SearchResult = {
     val cands = q.columns.map(ex => strategy.select(ex, index))
     if (cands.exists(_.isEmpty)) SearchResult(Vector.empty, 0, 0)
-    else JoinGraphSearch.search(cands, index, cfg)
+    else JoinGraphSearch.search(cands, index)
   }
 
   /** Materialize the ranked specs (top `limit`) with the driver-side
@@ -28,12 +27,10 @@ final class Ver(val repo: TableRepo, val index: DiscoveryIndex) {
 
 object Ver {
   /** Ground-truth hit (Table V metric): the ground-truth view spec — same
-    * tables, same join edges, same projected columns — is among the
-    * candidates. Sound because workload queries are generated from GT specs
-    * over the same discovery index.
+    * tables, same join edges, same projected columns in the same order — is
+    * among the candidates. Sound because workload queries are generated from
+    * GT specs over the same discovery index.
     */
   def hit(result: SearchResult, gt: GroundTruth): Boolean =
-    result.specs.exists(s =>
-      s.tables == gt.spec.tables && s.edges == gt.spec.edges &&
-        s.projection.toSet == gt.spec.projection.toSet)
+    result.specs.exists(_.key == gt.spec.key)
 }

@@ -39,13 +39,6 @@ final class DiscoveryIndex(
   def overlap(c: ColumnRef, examples: Seq[String]): Int =
     examples.map(normalize).distinct.count(v => postings.get(v).exists(_.contains(c)))
 
-  /** Attribute-name search: columns whose name contains the keyword. */
-  def searchAttribute(keyword: String): Vector[ColumnRef] = {
-    val k = normalize(keyword)
-    distinctCounts.keys.toVector.filter(c => normalize(c.column).contains(k))
-      .sortBy(c => (c.table, c.column))
-  }
-
   /** NEIGHBORS(c): columns joinable with `c` at the index's threshold. */
   lazy val neighbors: Map[ColumnRef, Set[ColumnRef]] = {
     val sym = containment.keys.toVector.flatMap { case (a, b) => Vector(a -> b, b -> a) }
@@ -77,27 +70,17 @@ final class DiscoveryIndex(
       .map { case (t, ns) => t -> ns.map(_._2).distinct.sorted }
       .withDefaultValue(Vector.empty)
 
-  /** GENERATE-JOIN-GRAPHS({t1, t2}, ρ): all join graphs with ≤ ρ edges
-    * connecting the pair — direct edges plus (for ρ ≥ 2) two-hop paths
-    * through one intermediate table. Graphs are ordered smallest-first
-    * (paper: "smaller graphs rank higher") and capped at `maxGraphs`, so a
-    * cap can never evict a direct join in favour of a longer path.
+  /** GENERATE-JOIN-GRAPHS({t1, t2}, ρ) at the paper's ρ = 2: every join
+    * graph of at most two edges connecting the pair — the direct edges, then
+    * the two-hop paths through one intermediate table (paper: "smaller
+    * graphs rank higher"). A table with itself yields the empty graph.
     */
-  def generateJoinGraphs(t1: String, t2: String, rho: Int = 2,
-                         maxGraphs: Int = 64): Vector[Set[JoinEdge]] = {
-    require(rho >= 1, "rho must be ≥ 1")
-    if (t1 == t2) return Vector(Set.empty)
-    val direct: Vector[Set[JoinEdge]] = joinEdges(t1, t2).map(e => Set(e))
-    val twoHop: Vector[Set[JoinEdge]] =
-      if (rho < 2) Vector.empty
-      else
-        (tableNeighbors(t1).toSet intersect tableNeighbors(t2).toSet)
-          .filterNot(x => x == t1 || x == t2).toVector.sorted
-          .flatMap { x =>
-            for (e1 <- joinEdges(t1, x); e2 <- joinEdges(x, t2)) yield Set(e1, e2)
-          }
-    (direct ++ twoHop.sortBy(_.toString)).take(maxGraphs)
-  }
+  def generateJoinGraphs(t1: String, t2: String): Vector[Set[JoinEdge]] =
+    if (t1 == t2) Vector(Set.empty)
+    else joinEdges(t1, t2).map(e => Set(e)) ++
+      tableNeighbors(t1).intersect(tableNeighbors(t2)).flatMap { x =>
+        for (e1 <- joinEdges(t1, x); e2 <- joinEdges(x, t2)) yield Set(e1, e2)
+      }
 
   /** Connected components of a column set under the NEIGHBORS relation —
     * the clustering step of COLUMN-SELECTION (Algorithm 4, line 5).

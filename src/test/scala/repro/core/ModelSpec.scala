@@ -54,15 +54,20 @@ class ModelSpec extends AnyFunSuite {
     val v = ViewSpec(Set("t1", "t2", "t3"), Set(JoinEdge(a, b)), Vector(a, c))
     assert(!v.connected)
   }
-  test("ViewSpec key is projection-order-insensitive") {
+  test("ViewSpec key keeps projection order") {
     val v1 = ViewSpec(Set("t1", "t2"), Set(JoinEdge(a, b)), Vector(a, b))
     val v2 = ViewSpec(Set("t1", "t2"), Set(JoinEdge(a, b)), Vector(b, a))
-    assert(v1.key == v2.key)
+    assert(v1.key != v2.key)
+    assert(ViewSpec.singleTable(Vector(a, a)).key != ViewSpec.singleTable(Vector(a)).key)
   }
 
   test("ExampleQuery rejects empty columns") {
     intercept[IllegalArgumentException](ExampleQuery(Vector(Vector.empty)))
     intercept[IllegalArgumentException](ExampleQuery(Vector.empty))
+  }
+  test("ExampleQuery rejects three attributes, naming JOIN-GRAPH-SEARCH and τ") {
+    val e = intercept[IllegalArgumentException](ExampleQuery(Vector(Vector("a"), Vector("b"), Vector("c"))))
+    assert(e.getMessage.contains("JOIN-GRAPH-SEARCH") && e.getMessage.contains("τ = 3"), e.getMessage)
   }
   test("ExampleQuery arity") {
     assert(ExampleQuery(Vector(Vector("a"), Vector("b"))).arity == 2)
