@@ -1,0 +1,77 @@
+package repro.bench
+
+import java.nio.charset.StandardCharsets
+import java.nio.file.{Files, Paths}
+import scala.sys.process._
+import scala.util.Try
+
+import repro.SparkSpec
+import repro.data.{ChemblLite, OpenDataLite, TableRepo}
+import repro.discovery.{Profiles, SparkContainment}
+
+/** Corpus sweep of the index build's pair count: at each corpus point it
+  * times the driver count ([[Profiles.containment]]) three times and the
+  * Spark self-join reference ([[SparkContainment]]) once, checks that
+  * both give the same joinable pairs, and writes every timing to
+  * `BENCH_sweep.json` at the repository root.
+  *
+  * The points grow tables (chembl-lite rows, opendata-lite fillers, which
+  * add no joinable pairs) and join structure: the hot-value corpus is `n`
+  * one-column tables sharing the same 100 values, so every value's posting
+  * list holds all `n` columns and all n(n−1)/2 pairs are joinable — the
+  * driver count's quadratic case.
+  */
+class SweepBench extends SparkSpec {
+  private val Threshold = 0.8
+  private val DriverRuns = 3
+
+  private def hotValues(n: Int): TableRepo = {
+    val rows = (0 until 100).map(v => Seq(f"hv_$v%03d"))
+    TableRepo(s"hot-values-$n", (0 until n).map(t => f"hot_$t%04d" -> TableRepo.df(spark, Seq("v"), rows)).toMap,
+      Vector.empty)
+  }
+
+  private def ms[A](f: => A): (A, Double) = {
+    val t0 = System.nanoTime()
+    val a = f
+    (a, (System.nanoTime() - t0) / 1e6)
+  }
+
+  private def git(args: String*): Option[String] =
+    Try(Process("git" +: args).!!(ProcessLogger(_ => ())).trim).toOption.filter(_.nonEmpty)
+
+  test("sweep: the driver pair count equals the Spark reference at every corpus point") {
+    val points: Seq[(String, () => TableRepo)] = Seq(
+      "chembl-lite x1" -> (() => ChemblLite(spark)),
+      "chembl-lite x8" -> (() => ChemblLite(spark, scale = 8)),
+      "opendata-lite 300 fillers" -> (() => OpenDataLite(spark)),
+      "opendata-lite 3000 fillers" -> (() => OpenDataLite(spark, nFiller = 3000)),
+      "hot-values 300 tables" -> (() => hotValues(300)),
+      "hot-values 1000 tables" -> (() => hotValues(1000)),
+    )
+    val rows = points.map { case (name, corpus) =>
+      // Generating the corpus and collecting its tables for the melt.
+      val ((repo, melted), setupMs) = ms { val r = corpus(); (r, Profiles.melt(r)) }
+      val driver = Vector.fill(DriverRuns)(ms(Profiles.containment(melted, Threshold)))
+      val (reference, sparkMs) = ms(SparkContainment(spark, repo, Threshold))
+      driver.foreach { case (pairs, _) => assert(pairs == reference, name) }
+      (name, repo.tables.size, melted.map(_._2.size).sum, reference.size, setupMs, driver.map(_._2), sparkMs)
+    }
+
+    def fmt(xs: Seq[Double]) = xs.map(x => f"$x%.1f").mkString("[", ", ", "]")
+    println(f"${"Corpus"}%-28s ${"Tables"}%7s ${"Triples"}%8s ${"Joinable"}%9s ${"Setup ms"}%9s  Driver ms / Spark ms")
+    for ((name, tables, triples, joinable, setupMs, driverMs, sparkMs) <- rows)
+      println(f"$name%-28s $tables%7d $triples%8d $joinable%9d $setupMs%9.1f  ${fmt(driverMs)} / $sparkMs%.1f")
+
+    val sha = git("rev-parse", "HEAD").getOrElse("unknown") +
+      (if (git("status", "--porcelain", "--untracked-files=no").isDefined) "-dirty" else "")
+    val json = rows.map { case (name, tables, triples, joinable, setupMs, driverMs, sparkMs) =>
+      s"""    {"corpus": "$name", "tables": $tables, "triples": $triples, "joinable_pairs": $joinable, """ +
+        f""""setup_ms": $setupMs%.1f, "driver_ms": ${fmt(driverMs)}, "spark_ms": ${fmt(Seq(sparkMs))}}"""
+    }.mkString(
+      s"""{\n  "git_sha": "$sha",\n  "threshold": $Threshold,\n  "cpus": ${Runtime.getRuntime.availableProcessors},\n  "points": [\n""",
+      ",\n", "\n  ]\n}\n")
+    val root = git("rev-parse", "--show-toplevel").getOrElse(sys.props("user.dir"))
+    Files.write(Paths.get(root, "BENCH_sweep.json"), json.getBytes(StandardCharsets.UTF_8))
+  }
+}

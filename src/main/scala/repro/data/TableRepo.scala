@@ -60,8 +60,8 @@ final case class TableRepo(
 object TableRepo {
   /** Build an all-string DataFrame from driver-side rows. Generators are
     * driver-side (tables are small) so workloads are bit-deterministic in
-    * their seed; the *distributed* work is index construction and
-    * materialization, not data generation.
+    * their seed; index construction and materialization also run on the
+    * driver, over the rows [[TableRepo.rows]] collects once per table.
     */
   def df(spark: SparkSession, cols: Seq[String], rows: Seq[Seq[String]]): DataFrame = {
     require(rows.forall(_.size == cols.size), s"ragged rows for schema $cols")

@@ -116,17 +116,14 @@ object DiscoveryIndex {
   }
 }
 
-/** Offline builder: melts the repo once, counts joinable column pairs with
-  * the Spark [[Profiles]] self-join, and indexes the melt's values.
+/** Offline builder: melts the repo once, counts joinable column pairs on
+  * the driver with [[Profiles.containment]], and indexes the melt's values.
+  * No step runs a Spark job once the repo's tables are collected; `spark`
+  * is unused and stays in the signature for the callers.
   */
 object DiscoveryIndexBuilder {
   def build(spark: SparkSession, repo: TableRepo, threshold: Double = 0.8): DiscoveryIndex = {
     val melted = Profiles.melt(repo)
-    val cont: Map[(ColumnRef, ColumnRef), Double] =
-      Profiles.joinablePairs(Profiles.frame(spark, melted), threshold).collect().map { r =>
-        (ColumnRef(r.getString(0), r.getString(1)), ColumnRef(r.getString(2), r.getString(3))) ->
-          r.getDouble(5)
-      }.toMap
-    DiscoveryIndex(melted, cont, threshold)
+    DiscoveryIndex(melted, Profiles.containment(melted, threshold), threshold)
   }
 }

@@ -4,6 +4,7 @@ import java.util.Locale
 import org.apache.spark.sql.{DataFrame, Row, SparkSession}
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types.{StringType, StructField, StructType}
+import scala.collection.mutable
 import scala.jdk.CollectionConverters._
 
 import repro.core.ColumnRef
@@ -12,12 +13,16 @@ import repro.data.TableRepo
 /** Column profiling over a pathless table collection.
   *
   * This is the offline part of the DISCOVERY ENGINE (Challenge 2): the repo
-  * is melted on the driver, from the tables it collects once, into distinct
-  * normalized `(tbl, col, value)` triples, and all-pairs column overlaps are
-  * computed with a Spark self-join on `value` — the Spark equivalent of
-  * Aurum profiling a data lake. The resulting aggregates are small
-  * (columns², not rows²) and are collected into the online
-  * [[DiscoveryIndex]].
+  * is melted on the driver, from the tables it collects once, into each
+  * column's distinct normalized values, and [[containment]] counts the
+  * all-pairs column overlaps from the value → columns posting lists, the
+  * exact overlap counting JOSIE does over posting lists. The result is small
+  * (columns², not rows²) and goes into the online [[DiscoveryIndex]].
+  *
+  * [[columnValues]], [[columnStats]], [[columnPairs]] and [[joinablePairs]]
+  * are the Spark self-join on `value` that counted the pairs before; they
+  * stay as the reference the tests compare [[containment]] with, and no
+  * index build calls them.
   */
 object Profiles {
 
@@ -33,20 +38,77 @@ object Profiles {
   def melt(repo: TableRepo): Vector[(ColumnRef, Vector[String])] =
     repo.columnRefs.map(c => c -> repo.values(c).map(normalize).distinct)
 
-  /** The melt as one DataFrame of `(tbl, col, value)` triples. */
-  def columnValues(spark: SparkSession, repo: TableRepo): DataFrame = frame(spark, melt(repo))
+  /** The one pair count: the containment score
+    * `max(|a∩b|/|a|, |a∩b|/|b|)` of every pair of columns from different
+    * tables that share a value and score at least `threshold`, keyed with
+    * `a.toString < b.toString` (the order [[columnPairs]] keeps).
+    *
+    * It walks each column's values and, for each value, the columns in the
+    * value's posting list, tallying shared values in one counter per column:
+    * O(columns) scratch memory and at most Σ|P(v)|² increments, the rows the
+    * self-join on `value` would produce. `melted` holds each column's
+    * distinct normalized values, as [[melt]] returns them.
+    */
+  def containment(melted: Seq[(ColumnRef, Seq[String])], threshold: Double): Map[(ColumnRef, ColumnRef), Double] = {
+    val cols = melted.map(_._1).toVector
+    val n = cols.size
+    // Canonical order as ranks: columns whose keys are equal share a rank,
+    // so neither orders before the other and they never pair.
+    val keys = cols.map(_.toString)
+    val rankOf = keys.distinct.sorted.zipWithIndex.toMap
+    val rank = keys.map(rankOf).toArray
+    val tableOf = cols.map(_.table).distinct.zipWithIndex.toMap
+    val table = cols.map(c => tableOf(c.table)).toArray
+    val builders = mutable.HashMap.empty[String, mutable.ArrayBuilder.ofInt]
+    for (((_, vs), i) <- melted.iterator.zipWithIndex; v <- vs)
+      builders.getOrElseUpdate(v, new mutable.ArrayBuilder.ofInt) += i
+    val postings = builders.map { case (v, b) => v -> b.result() }
+    // Each column's values as their posting lists of column ids.
+    val lists = melted.iterator.map(_._2.iterator.map(postings).toArray).toArray
 
-  private[discovery] def frame(spark: SparkSession, melted: Seq[(ColumnRef, Seq[String])]): DataFrame = {
+    val overlap = new Array[Int](n)
+    val touched = new Array[Int](n)
+    val out = Map.newBuilder[(ColumnRef, ColumnRef), Double]
+    for (i <- 0 until n) {
+      var nTouched = 0
+      // The Σ|P(v)|² loop, written with indices because it is the hot path.
+      var x = 0
+      while (x < lists(i).length) {
+        val p = lists(i)(x)
+        var y = 0
+        while (y < p.length) {
+          val j = p(y)
+          if (rank(j) > rank(i) && table(j) != table(i)) {
+            if (overlap(j) == 0) { touched(nTouched) = j; nTouched += 1 }
+            overlap(j) += 1
+          }
+          y += 1
+        }
+        x += 1
+      }
+      for (k <- 0 until nTouched) {
+        val j = touched(k)
+        val ov = overlap(j).toDouble
+        overlap(j) = 0
+        val score = math.max(ov / lists(i).length, ov / lists(j).length)
+        if (score >= threshold) out += (cols(i), cols(j)) -> score
+      }
+    }
+    out.result()
+  }
+
+  /** Reference: the melt as one DataFrame of `(tbl, col, value)` triples. */
+  def columnValues(spark: SparkSession, repo: TableRepo): DataFrame = {
     val schema = StructType(Seq("tbl", "col", "value").map(StructField(_, StringType, nullable = false)))
-    val rows = melted.flatMap { case (c, vs) => vs.map(v => Row(c.table, c.column, v)) }
+    val rows = melt(repo).flatMap { case (c, vs) => vs.map(v => Row(c.table, c.column, v)) }
     spark.createDataFrame(rows.asJava, schema)
   }
 
-  /** Per-column distinct-value counts: `(tbl, col, distinct_count)`. */
+  /** Reference: per-column distinct-value counts, `(tbl, col, distinct_count)`. */
   def columnStats(cv: DataFrame): DataFrame =
     cv.groupBy("tbl", "col").agg(count(lit(1)).as("distinct_count"))
 
-  /** All-pairs column overlap and Lazo-style maximum directional Jaccard
+  /** Reference for [[containment]]: all-pairs column overlap and Lazo-style maximum directional Jaccard
     * containment `max(|a∩b|/|a|, |a∩b|/|b|)`, one row per unordered pair of
     * columns from *different* tables with overlap ≥ 1:
     * `(tbl1, col1, tbl2, col2, overlap, containment)`.
@@ -72,7 +134,9 @@ object Profiles {
       .select("tbl1", "col1", "tbl2", "col2", "overlap", "containment")
   }
 
-  /** Joinable pairs at a containment threshold (Aurum NEIGHBORS edges). */
+  /** Reference for [[containment]]: joinable pairs at a containment
+    * threshold (Aurum NEIGHBORS edges).
+    */
   def joinablePairs(cv: DataFrame, threshold: Double): DataFrame =
     columnPairs(cv).where(col("containment") >= threshold)
 }

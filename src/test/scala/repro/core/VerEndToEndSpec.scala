@@ -105,6 +105,15 @@ class VerEndToEndSpec extends SparkSpec {
     val r = wdcVer.searchSpecs(ExampleQuery(Vector(Vector("no-such-value"), Vector("State_01"))))
     assert(r.specs.isEmpty && r.views == 0)
   }
+  test("a query whose examples appear in no column gives an empty result for SA, SB and CS") {
+    val absent = Vector("no-such-value", "also-absent")
+    for (q <- Seq(ExampleQuery(Vector(absent)), ExampleQuery(Vector(absent, absent.reverse)));
+         strategy <- Seq(ColumnStrategy.SelectAll, ColumnStrategy.SelectBest, ColumnStrategy.ColumnSelection())) {
+      val r = wdcVer.searchSpecs(q, strategy)
+      assert(r == SearchResult(Vector.empty, 0, 0), s"${strategy.name} $q")
+      assert(wdcRepo.groundTruths.forall(gt => !Ver.hit(r, gt)), s"${strategy.name} $q")
+    }
+  }
   test("lower-cased examples select the same columns and cluster scores as the original case") {
     val ex = Vector("State_12", "State_19", "State_09")
     val lower = ex.map(_.toLowerCase(Locale.ROOT))

@@ -9,10 +9,15 @@ import repro.SparkSpec
 import repro.core.ColumnRef
 import repro.data.TableRepo
 
-/** Tests the offline index builder (distributed profiles → online index)
-  * end to end on a small repo.
+/** Tests the offline index builder (driver pair count → online index) end
+  * to end on small repos, and its pair count against the Spark reference
+  * in [[Profiles]].
   */
 class DiscoveryIndexSpec extends SparkSpec {
+
+  private def nullable(cols: Seq[String], rows: Seq[Seq[String]]) =
+    spark.createDataFrame(rows.map(r => Row.fromSeq(r)).asJava,
+      StructType(cols.map(StructField(_, StringType, nullable = true))))
 
   private lazy val repo = TableRepo("idx-test", Map(
     "users"    -> TableRepo.df(spark, Seq("uid", "city"), Seq(
@@ -75,6 +80,35 @@ class DiscoveryIndexSpec extends SparkSpec {
     assert(again.containment == index.containment)
   }
 
+  test("containment keys order columns by their string form, not by (table, column)") {
+    // "t-x.k" < "t.k" because '-' < '.', while ("t", "k") < ("t-x", "k").
+    val r = TableRepo("key-order", Map(
+      "t"   -> TableRepo.df(spark, Seq("k"), Seq(Seq("a"), Seq("b"))),
+      "t-x" -> TableRepo.df(spark, Seq("k"), Seq(Seq("a"), Seq("b"), Seq("c"))),
+    ), Vector.empty)
+    val idx = DiscoveryIndexBuilder.build(spark, r, threshold = 0.8)
+    assert(idx.containment == Map((ColumnRef("t-x", "k"), ColumnRef("t", "k")) -> 1.0))
+    assert(idx.containment == SparkContainment(spark, r, 0.8))
+  }
+  test("a 0-row table and an all-null column profile to 0 and form no pair") {
+    val r = TableRepo("empty-inputs", Map(
+      "empty" -> TableRepo.df(spark, Seq("e"), Seq.empty),
+      "nulls" -> nullable(Seq("n", "k"), Seq(Seq(null, "a"), Seq(null, "b"))),
+      "other" -> TableRepo.df(spark, Seq("k"), Seq(Seq("a"), Seq("b"))),
+    ), Vector.empty)
+    val empties = Set(ColumnRef("empty", "e"), ColumnRef("nulls", "n"))
+    for (threshold <- Seq(0.0, 0.8)) {
+      val idx = DiscoveryIndexBuilder.build(spark, r, threshold)
+      for (c <- empties) {
+        assert(idx.distinctCounts.get(c).contains(0), c)
+        assert(idx.neighbors(c).isEmpty, c)
+      }
+      assert(idx.containment == Map((ColumnRef("nulls", "k"), ColumnRef("other", "k")) -> 1.0))
+      assert(idx.containment == SparkContainment(spark, r, threshold))
+    }
+    assert(Profiles.containment(Vector.empty, 0.0).isEmpty)
+  }
+
   test("randomized: containment equals a driver reference, and keyword search agrees with overlap") {
     val alphabet = Vector("a", "A", "b", "B", "Ab", "aB", "c")
     val cell = Gen.frequency(6 -> Gen.oneOf(alphabet), 1 -> Gen.const(null: String))
@@ -93,10 +127,8 @@ class DiscoveryIndexSpec extends SparkSpec {
     }.toMap, threshold)
 
     val prop = Prop.forAllNoShrink(caseGen) { case (tables, threshold) =>
-      val repo = TableRepo("random", tables.map { case (t, (cols, rows)) =>
-        t -> spark.createDataFrame(rows.map(r => Row.fromSeq(r)).asJava,
-          StructType(cols.map(StructField(_, StringType, nullable = true))))
-      }, Vector.empty)
+      val repo = TableRepo("random", tables.map { case (t, (cols, rows)) => t -> nullable(cols, rows) },
+        Vector.empty)
       val idx = DiscoveryIndexBuilder.build(spark, repo, threshold)
 
       // Reference: per-column sets of lower-cased values, all pairs compared.
@@ -113,6 +145,7 @@ class DiscoveryIndexSpec extends SparkSpec {
         if score >= threshold
       } yield (a, b) -> score).toMap
       assert(idx.containment == expected)
+      assert(idx.containment == SparkContainment(spark, repo, threshold))
       assert(idx.distinctCounts == sets.map { case (c, vs) => c -> vs.size })
       for (v <- alphabet :+ "Dup" :+ "absent"; c <- repo.columnRefs) {
         assert(idx.searchKeyword(v).contains(c) == (idx.overlap(c, Vector(v)) == 1), s"$v in $c")

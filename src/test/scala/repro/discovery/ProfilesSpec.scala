@@ -4,8 +4,10 @@ import repro.SparkSpec
 import repro.core.ColumnRef
 import repro.data.TableRepo
 
-/** Tests the distributed profiling job against brute-force driver-side
-  * computation on a tiny hand-built repo.
+/** Tests the Spark reference pair count in [[Profiles]] (the self-join that
+  * `DiscoveryIndexSpec` and the corpus sweep compare the driver's
+  * [[Profiles.containment]] with) against brute-force counts on a tiny
+  * hand-built repo.
   */
 class ProfilesSpec extends SparkSpec {
 
