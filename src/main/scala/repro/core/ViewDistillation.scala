@@ -182,30 +182,4 @@ object ViewDistillation {
     DistillReport(views.size, afterC1, afterC2, worst, best,
       edges.result().distinct, distilled.result(), contradictions.result().distinct)
   }
-
-  /** Fig. 2 machinery: sequential contradiction-driven pruning. At each
-    * step the most discriminating remaining contradiction is presented; the
-    * kept side is chosen to maximize (best case) or minimize (worst case)
-    * the number of views pruned. Returns the remaining-view counts after
-    * each step.
-    */
-  def contradictionPruningSteps(report: DistillReport, maxSteps: Int, bestCase: Boolean): Vector[Int] = {
-    var current = report.distilled.map(_.id).toSet
-    val counts = Vector.newBuilder[Int]
-    var steps = 0
-    var continue = true
-    while (steps < maxSteps && continue) {
-      val live = report.contradictions.flatMap(_.restrictTo(current))
-      if (live.isEmpty) continue = false
-      else {
-        val c = live.maxBy(c0 => (c0.discrimination, c0.keyValue))
-        val sidesBySize = c.sides.sortBy(_.size)
-        val keep = if (bestCase) sidesBySize.head else sidesBySize.last
-        current --= (c.views -- keep)
-        counts += current.size
-        steps += 1
-      }
-    }
-    counts.result()
-  }
 }

@@ -1,12 +1,14 @@
 package repro.core
 
+import org.scalacheck.{Gen, Prop, Test => SCTest}
 import org.scalatest.funsuite.AnyFunSuite
 
 import repro.discovery.DiscoveryIndex
 
 /** Unit tests for COLUMN-SELECTION (Algorithm 4) and the SA/SB baselines
   * over a hand-built index: a ground-truth column, a high-containment noise
-  * column clustered with it, and an unrelated collision column.
+  * column clustered with it, and an unrelated collision column; plus
+  * properties relating the three strategies on random indexes.
   */
 class ColumnSelectionSpec extends AnyFunSuite {
   private val gt    = ColumnRef("truth", "s")
@@ -95,5 +97,59 @@ class ColumnSelectionSpec extends AnyFunSuite {
     assert(ColumnStrategy.SelectAll.name == "SA")
     assert(ColumnStrategy.SelectBest.name == "SB")
     assert(ColumnStrategy.ColumnSelection().name == "CS")
+  }
+
+  // ---- the strategies on random indexes ------------------------------------
+  /** A random index over 2–8 columns in 1–4 tables, each holding 1–6 of the
+    * values a–h, where each cross-table column pair is joinable with
+    * probability 1/3; 1–4 examples from a–j and A (i and j are in no
+    * column, A is a case variant of a); θ from 1 to 3.
+    */
+  private val caseGen = for {
+    n <- Gen.choose(2, 8)
+    tables <- Gen.listOfN(n, Gen.choose(0, 3))
+    cols = tables.zipWithIndex.map { case (t, i) => ColumnRef(s"t$t", s"c$i") }.toVector
+    values <- Gen.listOfN(n, Gen.choose(1, 6).flatMap(Gen.pick(_, "abcdefgh".map(_.toString))))
+    pairs = for (a <- cols; b <- cols if a.table < b.table) yield (a, b)
+    scores <- Gen.listOfN(pairs.size, Gen.frequency(2 -> Gen.const(0.0), 1 -> Gen.oneOf(0.8, 1.0)))
+    examples <- Gen.choose(1, 4).flatMap(Gen.listOfN(_, Gen.oneOf("abcdefghijA".map(_.toString))))
+    theta <- Gen.choose(1, 3)
+  } yield (DiscoveryIndex(cols.zip(values.map(_.toVector)), pairs.zip(scores).filter(_._2 > 0).toMap, 0.8),
+    examples.toVector, theta)
+
+  private def forRandomIndexes(p: (DiscoveryIndex, Vector[String], Int) => Boolean): Unit = {
+    val res = SCTest.check(SCTest.Parameters.default.withMinSuccessfulTests(1000),
+      Prop.forAllNoShrink(caseGen) { case (idx, ex, theta) => p(idx, ex, theta) })
+    assert(res.passed, res.status.toString)
+  }
+
+  test("random indexes: SELECT-BEST is a subset of SELECT-ALL") {
+    var smaller = 0
+    forRandomIndexes { (idx, ex, _) =>
+      val (sb, sa) = (ColumnStrategy.SelectBest.select(ex, idx), ColumnStrategy.SelectAll.select(ex, idx))
+      if (sb.size < sa.size) smaller += 1
+      sb.subsetOf(sa)
+    }
+    assert(smaller > 25, s"vacuous: $smaller cases where SELECT-BEST drops a column")
+  }
+  test("random indexes: COLUMN-SELECTION is a subset of SELECT-ALL") {
+    var smaller = 0
+    forRandomIndexes { (idx, ex, theta) =>
+      val (cs, sa) = (ColumnStrategy.ColumnSelection(theta).select(ex, idx), ColumnStrategy.SelectAll.select(ex, idx))
+      if (cs.size < sa.size) smaller += 1
+      cs.subsetOf(sa)
+    }
+    assert(smaller > 25, s"vacuous: $smaller cases where COLUMN-SELECTION drops a column")
+  }
+  test("random indexes: COLUMN-SELECTION with θ ≥ the score tiers equals SELECT-ALL") {
+    var multiTier = 0
+    forRandomIndexes { (idx, ex, k) =>
+      val tiers = ColumnSelection.clusters(ex, idx).map(_.score).distinct.size
+      if (tiers >= 2) multiTier += 1
+      // θ from the number of tiers to two more (at least 1).
+      ColumnStrategy.ColumnSelection(math.max(1, tiers + k - 1)).select(ex, idx) ==
+        ColumnStrategy.SelectAll.select(ex, idx)
+    }
+    assert(multiTier > 25, s"vacuous: $multiTier cases with two or more score tiers")
   }
 }

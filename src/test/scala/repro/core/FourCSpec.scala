@@ -190,21 +190,6 @@ class FourCSpec extends AnyFunSuite {
     assert(r.distilled.map(_.id) == Vector("a"))
   }
 
-  // ---- Fig. 2 pruning machinery -------------------------------------------
-  test("contradiction pruning: best case prunes at least as much as worst") {
-    val views = Vector(
-      mv("a", kv, "1" -> "x", "2" -> "y"),
-      mv("b", kv, "1" -> "x", "3" -> "z"),
-      mv("c", kv, "1" -> "w", "4" -> "q"),
-      mv("d", kv, "1" -> "w", "5" -> "r"))
-    val r = ViewDistillation.distill(views)
-    val best = ViewDistillation.contradictionPruningSteps(r, 10, bestCase = true)
-    val worst = ViewDistillation.contradictionPruningSteps(r, 10, bestCase = false)
-    assert(best.nonEmpty && worst.nonEmpty)
-    assert(best.head <= worst.head)
-    assert(best == best.sorted(Ordering[Int].reverse), "counts decrease monotonically")
-  }
-
   // ---- randomized invariants ----------------------------------------------
   test("randomized: distill counts are monotone for arbitrary small views") {
     val rowGen = Gen.listOfN(4, Gen.zip(Gen.choose(1, 4).map(_.toString), Gen.oneOf("x", "y", "z")))

@@ -1,10 +1,13 @@
 package repro.core
 
+import org.scalacheck.{Gen, Prop, Test => SCTest}
 import org.scalatest.funsuite.AnyFunSuite
 import scala.util.Random
 
 /** Unit tests for VIEW-PRESENTATION (Algorithm 2): question construction,
-  * truthful answering, bandit behaviour, convergence and give-up.
+  * truthful answering, bandit behaviour, convergence and give-up; plus
+  * properties of `questions`, `probabilities` and `step` on random
+  * distilled view sets.
   */
 class PresenterSpec extends AnyFunSuite {
 
@@ -57,10 +60,16 @@ class PresenterSpec extends AnyFunSuite {
     val (s1, s2) = (once, once)
     assert(s1 == s2)
   }
-  test("interactions are counted and bounded by maxT plus the final scan") {
-    val p = new Presenter(views, report, scores, maxT = 7)
-    val s = p.run(SimUser("u", neverAnswer, patience = 1, seed = 5), views(0))
-    assert(s.interactions <= 8)
+  test("a session that keeps more than SmallK views ends at Presenter.MaxT") {
+    // One schema and no contradictions: only DatasetQ and the top-2 PairQ
+    // have questions. The user answers DatasetQ only, and each "no" (no view
+    // covers the target) prunes one of the 100 views.
+    val many = Vector.tabulate(100)(i => mv(f"m$i%03d", ("k", "v"), i.toString -> s"v$i"))
+    val r = ViewDistillation.distill(many)
+    val user = SimUser("u", Map(Interface.DatasetQ -> 1.0), patience = 3, seed = 8)
+    val s = new Presenter(r.distilled, r, Map.empty).run(user, mv("target", ("k", "v"), "none" -> "x"))
+    assert(r.distilled.size == 100 && r.contradictions.isEmpty)
+    assert(!s.found && s.interactions == Presenter.MaxT && s.finalSize > Presenter.SmallK, s)
   }
   test("a containment representative satisfies the session (superset semantics)") {
     val big = mv("big", ("k", "v"), "1" -> "x", "2" -> "y", "3" -> "z")
@@ -128,5 +137,98 @@ class PresenterSpec extends AnyFunSuite {
     assert(Presenter.sampleArm(ps, math.nextDown(ps.sum)) == 2)
     // Rounding can leave u at the total: the last arm, not the first.
     assert(Presenter.sampleArm(ps, ps.sum) == 2)
+  }
+
+  // ---- properties on random distilled view sets ----------------------------
+  /** 4–30 random views over (k,v), (k,w), (a,b) and (k,v,w) — (a,b) has the
+    * arity of (k,v) under other names — with keys 0–5 and cells x/y/z, so
+    * key values collide into contradictions. The target is one of the raw
+    * views, which C1/C2 may have dropped for a representative; users answer
+    * each interface with probability 0, 0.3, 0.7 or 1.
+    */
+  private val caseGen = for {
+    n <- Gen.choose(4, 30)
+    raw <- Gen.listOfN(n, for {
+      schema <- Gen.oneOf(Vector("k", "v"), Vector("k", "w"), Vector("a", "b"), Vector("k", "v", "w"))
+      rows <- Gen.choose(1, 5).flatMap(Gen.listOfN(_, Gen.sequence[Vector[String], String](
+        Gen.choose(0, 5).map(_.toString) +: schema.tail.map(_ => Gen.oneOf("x", "y", "z")))))
+    } yield (schema, rows))
+    views = raw.zipWithIndex.map { case ((schema, rows), i) =>
+      MatView.fromRows(s"r$i", ViewSpec.singleTable(schema.map(ColumnRef("t", _))), schema, rows)
+    }.toVector
+    target <- Gen.oneOf(views)
+    scores <- Gen.listOfN(n, Gen.choose(0, 2).map(_.toDouble))
+    probs <- Gen.listOfN(Interface.all.size, Gen.oneOf(0.0, 0.3, 0.7, 1.0))
+    seed <- Gen.long
+  } yield (views, target, views.map(_.id).zip(scores).toMap, Interface.all.zip(probs).toMap, seed)
+
+  /** Walks one session from `initial`, showing a random one of each round's
+    * questions (not the bandit's pick, to reach every kind of state) and
+    * applying `user`'s answer; calls `visit` with each state, its questions
+    * and the step's result, for up to `Presenter.MaxT` rounds.
+    */
+  private def walk(p: Presenter, user: SimUser, target: MatView, byId: Map[String, MatView])(
+      visit: (Presenter.State, Vector[Question], Either[Session, Presenter.State]) => Unit): Unit = {
+    val rng = new Random(user.seed)
+    var state = Option(p.initial)
+    while (state.exists(s => s.interactions < Presenter.MaxT && p.questions(s).nonEmpty)) {
+      val s = state.get
+      val qs = p.questions(s)
+      val q = qs(rng.nextInt(qs.size))
+      val next = Presenter.step(s, q, user.answer(q, target, byId, rng))
+      visit(s, qs, next)
+      state = next.toOption
+    }
+  }
+
+  test("a truthful step never removes a live view that satisfies the target") {
+    var answered = 0; var bad = 0
+    val prop = Prop.forAllNoShrink(caseGen) { case (raw, target, scores, _, seed) =>
+      val r = ViewDistillation.distill(raw)
+      val byId = r.distilled.map(v => v.id -> v).toMap
+      walk(new Presenter(r.distilled, r, scores), SimUser("u", alwaysAnswer, 3, seed), target, byId) {
+        (s, _, next) =>
+          val satisfying = s.live.filter(id => Presenter.satisfies(byId(id), target))
+          next.foreach { n =>
+            if (n.answered != s.answered && satisfying.nonEmpty) answered += 1
+            if (!satisfying.subsetOf(n.live)) bad += 1
+          }
+      }
+      bad == 0
+    }
+    val res = SCTest.check(SCTest.Parameters.default.withMinSuccessfulTests(300), prop)
+    assert(res.passed, s"$bad bad steps: ${res.status}")
+    assert(answered > 300, s"vacuous: $answered answered steps with a satisfying live view")
+  }
+
+  test("probabilities sum to 1 and give every interface at least Gamma / |I|") {
+    var postBootstrap = 0
+    val prop = Prop.forAllNoShrink(caseGen) { case (raw, target, scores, probs, seed) =>
+      val r = ViewDistillation.distill(raw)
+      val byId = r.distilled.map(v => v.id -> v).toMap
+      var ok = true
+      walk(new Presenter(r.distilled, r, scores), SimUser("u", probs, 3, seed), target, byId) { (s, qs, _) =>
+        val ps = Presenter.probabilities(s, qs)
+        if (qs.forall(q => s.asked(q.iface) >= Presenter.BootstrapPerArm)) postBootstrap += 1
+        ok &&= ps.size == qs.size && math.abs(ps.sum - 1) <= 1e-9 &&
+          ps.forall(_ >= Presenter.Gamma / Interface.all.size)
+      }
+      ok
+    }
+    val res = SCTest.check(SCTest.Parameters.default.withMinSuccessfulTests(300), prop)
+    assert(res.passed, res.status.toString)
+    assert(postBootstrap > 300, s"vacuous: $postBootstrap post-bootstrap states")
+  }
+
+  test("a session is deterministic in its seed, whatever the order of the views") {
+    val prop = Prop.forAllNoShrink(caseGen) { case (raw, target, scores, probs, seed) =>
+      val r = ViewDistillation.distill(raw)
+      val user = SimUser("u", probs, 3, seed)
+      val s = new Presenter(r.distilled, r, scores).run(user, target)
+      s == new Presenter(r.distilled, r, scores).run(user, target) &&
+        s == new Presenter(r.distilled.reverse, r, scores).run(user, target)
+    }
+    val res = SCTest.check(SCTest.Parameters.default.withMinSuccessfulTests(300), prop)
+    assert(res.passed, res.status.toString)
   }
 }
