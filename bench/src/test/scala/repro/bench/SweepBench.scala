@@ -6,14 +6,15 @@ import scala.sys.process._
 import scala.util.Try
 
 import repro.SparkSpec
-import repro.data.{ChemblLite, OpenDataLite, TableRepo}
+import repro.data.{ChemblLite, OpenDataLite, Table, TableRepo}
 import repro.discovery.{Profiles, SparkContainment}
 
 /** Corpus sweep of the index build's pair count: at each corpus point it
-  * times the driver count ([[Profiles.containment]]) three times and the
-  * Spark self-join reference ([[SparkContainment]]) once, checks that
-  * both give the same joinable pairs, and writes every timing to
-  * `BENCH_sweep.json` at the repository root.
+  * times generating the corpus and melting its rows ([[Profiles.melt]]) once,
+  * the driver count ([[Profiles.postings]] then [[Profiles.containment]])
+  * three times and the Spark self-join reference ([[SparkContainment]])
+  * once, checks that both give the same joinable pairs, and writes every
+  * timing to `BENCH_sweep.json` at the repository root.
   *
   * The points grow tables (chembl-lite rows, opendata-lite fillers, which
   * add no joinable pairs) and join structure: the hot-value corpus is `n`
@@ -27,8 +28,7 @@ class SweepBench extends SparkSpec {
 
   private def hotValues(n: Int): TableRepo = {
     val rows = (0 until 100).map(v => Seq(f"hv_$v%03d"))
-    TableRepo(s"hot-values-$n", (0 until n).map(t => f"hot_$t%04d" -> TableRepo.df(spark, Seq("v"), rows)).toMap,
-      Vector.empty)
+    TableRepo(s"hot-values-$n", (0 until n).map(t => Table(f"hot_$t%04d", Seq("v"), rows)).toVector, Vector.empty)
   }
 
   private def ms[A](f: => A): (A, Double) = {
@@ -44,30 +44,30 @@ class SweepBench extends SparkSpec {
     val points: Seq[(String, () => TableRepo)] = Seq(
       "chembl-lite x1" -> (() => ChemblLite(spark)),
       "chembl-lite x8" -> (() => ChemblLite(spark, scale = 8)),
-      "opendata-lite 300 fillers" -> (() => OpenDataLite(spark)),
-      "opendata-lite 3000 fillers" -> (() => OpenDataLite(spark, nFiller = 3000)),
+      "opendata-lite 300 fillers" -> (() => OpenDataLite()),
+      "opendata-lite 3000 fillers" -> (() => OpenDataLite(nFiller = 3000)),
       "hot-values 300 tables" -> (() => hotValues(300)),
       "hot-values 1000 tables" -> (() => hotValues(1000)),
     )
     val rows = points.map { case (name, corpus) =>
-      // Generating the corpus and collecting its tables for the melt.
-      val ((repo, melted), setupMs) = ms { val r = corpus(); (r, Profiles.melt(r)) }
-      val driver = Vector.fill(DriverRuns)(ms(Profiles.containment(melted, Threshold)))
+      val (repo, generateMs) = ms(corpus())
+      val (melted, meltMs) = ms(Profiles.melt(repo))
+      val driver = Vector.fill(DriverRuns)(ms(Profiles.containment(Profiles.postings(melted), Threshold)))
       val (reference, sparkMs) = ms(SparkContainment(spark, repo, Threshold))
       driver.foreach { case (pairs, _) => assert(pairs == reference, name) }
-      (name, repo.tables.size, melted.map(_._2.size).sum, reference.size, setupMs, driver.map(_._2), sparkMs)
+      (name, repo.data.size, melted.map(_._2.size).sum, reference.size, generateMs, meltMs, driver.map(_._2), sparkMs)
     }
 
     def fmt(xs: Seq[Double]) = xs.map(x => f"$x%.1f").mkString("[", ", ", "]")
-    println(f"${"Corpus"}%-28s ${"Tables"}%7s ${"Triples"}%8s ${"Joinable"}%9s ${"Setup ms"}%9s  Driver ms / Spark ms")
-    for ((name, tables, triples, joinable, setupMs, driverMs, sparkMs) <- rows)
-      println(f"$name%-28s $tables%7d $triples%8d $joinable%9d $setupMs%9.1f  ${fmt(driverMs)} / $sparkMs%.1f")
+    println(f"${"Corpus"}%-28s ${"Tables"}%7s ${"Triples"}%8s ${"Joinable"}%9s ${"Gen ms"}%8s ${"Melt ms"}%8s  Driver ms / Spark ms")
+    for ((name, tables, triples, joinable, generateMs, meltMs, driverMs, sparkMs) <- rows)
+      println(f"$name%-28s $tables%7d $triples%8d $joinable%9d $generateMs%8.1f $meltMs%8.1f  ${fmt(driverMs)} / $sparkMs%.1f")
 
     val sha = git("rev-parse", "HEAD").getOrElse("unknown") +
       (if (git("status", "--porcelain", "--untracked-files=no").isDefined) "-dirty" else "")
-    val json = rows.map { case (name, tables, triples, joinable, setupMs, driverMs, sparkMs) =>
+    val json = rows.map { case (name, tables, triples, joinable, generateMs, meltMs, driverMs, sparkMs) =>
       s"""    {"corpus": "$name", "tables": $tables, "triples": $triples, "joinable_pairs": $joinable, """ +
-        f""""setup_ms": $setupMs%.1f, "driver_ms": ${fmt(driverMs)}, "spark_ms": ${fmt(Seq(sparkMs))}}"""
+        f""""generate_ms": $generateMs%.1f, "melt_ms": $meltMs%.1f, "driver_ms": ${fmt(driverMs)}, "spark_ms": ${fmt(Seq(sparkMs))}}"""
     }.mkString(
       s"""{\n  "git_sha": "$sha",\n  "threshold": $Threshold,\n  "cpus": ${Runtime.getRuntime.availableProcessors},\n  "points": [\n""",
       ",\n", "\n  ]\n}\n")

@@ -18,8 +18,7 @@ final class Ver(val repo: TableRepo, val index: DiscoveryIndex) {
   }
 
   /** Materialize the ranked specs (top `limit`) with the driver-side
-    * MATERIALIZER, which joins over the repo's tables collected once per
-    * repo (shared by every query on it).
+    * MATERIALIZER, which joins over the repo's rows.
     */
   def materialize(result: SearchResult, limit: Int = Int.MaxValue): Vector[MatView] =
     Materializer.materializeAll(repo, result.specs, limit)

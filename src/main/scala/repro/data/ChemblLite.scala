@@ -31,6 +31,7 @@ object ChemblLite {
   /** Shared-universe fraction of a noise column (the rest are noise-only). */
   val NoiseShare = 0.85
 
+  /** `spark` is unused (tables are driver rows); the benchmark still passes one. */
   def apply(spark: SparkSession, scale: Double = 1.0, seed: Long = 11): TableRepo = {
     require(scale > 0, "scale must be positive")
     val rng = new Random(seed)
@@ -151,30 +152,22 @@ object ChemblLite {
       }
     }
 
-    val tables: Map[String, org.apache.spark.sql.DataFrame] = (Map(
-      "cell_dictionary" -> TableRepo.df(spark,
-        Seq("cell_id", "cell_name", "cell_description"), cellDictionary),
-      "assays" -> TableRepo.df(spark,
+    val tables = Vector(
+      Table("cell_dictionary", Seq("cell_id", "cell_name", "cell_description"), cellDictionary),
+      Table("assays",
         Seq("assay_id", "cell_id", "cell_name", "cell_description", "assay_type", "assay_organism"), assays),
-      "assay_archive" -> TableRepo.df(spark,
-        Seq("archive_id", "cell_name_old", "assay_type_old"), assayArchive),
-      "bioassay_ontology" -> TableRepo.df(spark, Seq("onto_id", "organism_alt"), bioassayOntology),
-      "target_dictionary" -> TableRepo.df(spark, Seq("tid", "pref_name", "organism"), targetDictionary),
-      "component_sequences" -> TableRepo.df(spark,
-        Seq("component_id", "description", "organism"), componentSequences),
-      "component_class" -> TableRepo.df(spark,
-        Seq("component_id", "pref_name", "protein_class"), componentClass),
-      "target_synonyms" -> TableRepo.df(spark, Seq("syn_id", "synonym"), targetSynonyms),
-      "activities" -> TableRepo.df(spark,
+      Table("assay_archive", Seq("archive_id", "cell_name_old", "assay_type_old"), assayArchive),
+      Table("bioassay_ontology", Seq("onto_id", "organism_alt"), bioassayOntology),
+      Table("target_dictionary", Seq("tid", "pref_name", "organism"), targetDictionary),
+      Table("component_sequences", Seq("component_id", "description", "organism"), componentSequences),
+      Table("component_class", Seq("component_id", "pref_name", "protein_class"), componentClass),
+      Table("target_synonyms", Seq("syn_id", "synonym"), targetSynonyms),
+      Table("activities",
         Seq("activity_id", "assay_id", "tid", "molregno", "standard_type", "standard_value"), activities),
-      "molecule_dictionary" -> TableRepo.df(spark, Seq("molregno", "molecule_name"), moleculeDictionary),
-      "compound_records" -> TableRepo.df(spark,
-        Seq("record_id", "molregno", "compound_name"), compoundRecords),
-      "old_compounds" -> TableRepo.df(spark,
-        Seq("oldc_id", "compound_old", "standard_type_old"), oldCompounds),
-    ) ++ labNotes.map { case (name, rows) =>
-      name -> TableRepo.df(spark, Seq("note_id", "note_tag", "note_organism"), rows)
-    }).toMap
+      Table("molecule_dictionary", Seq("molregno", "molecule_name"), moleculeDictionary),
+      Table("compound_records", Seq("record_id", "molregno", "compound_name"), compoundRecords),
+      Table("old_compounds", Seq("oldc_id", "compound_old", "standard_type_old"), oldCompounds),
+    ) ++ labNotes.map { case (name, rows) => Table(name, Seq("note_id", "note_tag", "note_organism"), rows) }
 
     def c(t: String, col: String) = ColumnRef(t, col)
 

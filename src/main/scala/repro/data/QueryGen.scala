@@ -35,7 +35,7 @@ object QueryGen {
   }
 
   /** Generate one noisy query. `values` resolves a column to its sorted
-    * distinct values (typically `TableRepo.values` or a collected map).
+    * distinct values (typically `TableRepo.values` or a precomputed map).
     */
   def generate(gt: GroundTruth, level: NoiseLevel, replicate: Int,
                values: ColumnRef => Vector[String], base: Long = 97L): NoisyQuery = {

@@ -1,6 +1,5 @@
 package repro.data
 
-import java.util.concurrent.ConcurrentHashMap
 import org.apache.spark.sql.{DataFrame, Row, SparkSession}
 import org.apache.spark.sql.types.{StringType, StructField, StructType}
 import scala.jdk.CollectionConverters._
@@ -21,51 +20,60 @@ final case class GroundTruth(
     s"$name: every ground-truth column needs a noise column")
 }
 
+/** One table as driver rows; a null cell is an absent value (DESIGN.md). */
+final case class Table(name: String, columns: Vector[String], rows: Vector[Vector[String]]) {
+  require(columns.distinct.size == columns.size, s"duplicate column names in table $name")
+  require(rows.forall(_.size == columns.size), s"ragged rows in table $name for columns $columns")
+}
+
+object Table {
+  def apply(name: String, columns: Seq[String], rows: Seq[Seq[String]]): Table =
+    Table(name, columns.toVector, rows.iterator.map(_.toVector).toVector)
+}
+
 /** A named pathless table collection: tables have all-string schemas (as in
   * a real CSV lake — types, keys and FKs are absent by construction) and no
   * join-path metadata. Ground truths are carried for workload generation and
   * evaluation only; no component of Ver reads them.
   */
-final case class TableRepo(
-    name: String,
-    tables: Map[String, DataFrame],
-    groundTruths: Vector[GroundTruth],
-) {
-  def apply(table: String): DataFrame =
-    tables.getOrElse(table, sys.error(s"unknown table $table in repo $name"))
+final case class TableRepo(name: String, data: Vector[Table], groundTruths: Vector[GroundTruth]) {
+  private val byName = data.map(t => t.name -> t).toMap
+  require(byName.size == data.size, s"duplicate table names in repo $name")
 
-  private val collected = new ConcurrentHashMap[String, Vector[Vector[String]]]()
+  private def table(t: String): Table =
+    byName.getOrElse(t, throw new IllegalArgumentException(s"unknown table $t in repo $name"))
 
-  /** A table's rows on the driver, in `apply(table).columns` order, with
-    * each cell's string form and nulls kept as null. Each table is
-    * collected once per repo, on first use, however many threads ask.
-    */
-  def rows(table: String): Vector[Vector[String]] =
-    collected.computeIfAbsent(table, t => apply(t).collect().iterator.map(r =>
-      Vector.tabulate(r.length)(i => Option(r.get(i)).map(_.toString).orNull)).toVector)
+  def columns(t: String): Vector[String] = table(t).columns
+
+  /** A table's rows, in [[columns]] order, nulls kept as null. */
+  def rows(t: String): Vector[Vector[String]] = table(t).rows
 
   /** A column's distinct non-null cell strings, sorted: the values query
     * generation samples examples from and the discovery melt normalizes.
     */
   def values(c: ColumnRef): Vector[String] = {
-    val i = apply(c.table).columns.indexOf(c.column)
+    val i = columns(c.table).indexOf(c.column)
     require(i >= 0, s"unknown column $c in repo $name")
     rows(c.table).iterator.map(_(i)).filter(_ != null).distinct.toVector.sorted
   }
 
-  def columnRefs: Vector[ColumnRef] =
-    tables.toVector.sortBy(_._1).flatMap { case (t, df) => df.columns.toVector.map(ColumnRef(t, _)) }
+  def columnRefs: Vector[ColumnRef] = data.sortBy(_.name).flatMap(t => t.columns.map(ColumnRef(t.name, _)))
+
+  /** DataFrames of the rows in the active session, built on first use for
+    * the DuckDB oracle and the benchmark only.
+    */
+  lazy val tables: Map[String, DataFrame] =
+    byName.map { case (n, t) => n -> TableRepo.df(SparkSession.active, t.columns, t.rows) }
+
+  def apply(t: String): DataFrame = tables(table(t).name)
 }
 
 object TableRepo {
-  /** Build an all-string DataFrame from driver-side rows. Generators are
-    * driver-side (tables are small) so workloads are bit-deterministic in
-    * their seed; index construction and materialization also run on the
-    * driver, over the rows [[TableRepo.rows]] collects once per table.
+  /** An all-string DataFrame of driver rows; every column is nullable, so
+    * null cells stay null.
     */
   def df(spark: SparkSession, cols: Seq[String], rows: Seq[Seq[String]]): DataFrame = {
-    require(rows.forall(_.size == cols.size), s"ragged rows for schema $cols")
-    val schema = StructType(cols.map(StructField(_, StringType, nullable = false)))
+    val schema = StructType(cols.map(StructField(_, StringType, nullable = true)))
     spark.createDataFrame(rows.map(r => Row.fromSeq(r)).asJava, schema)
   }
 }

@@ -1,6 +1,5 @@
 package repro.data
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
 import scala.util.Random
 import scala.util.hashing.MurmurHash3
 
@@ -41,8 +40,6 @@ object WdcLite {
   def iatas: Vector[String]     = (0 until NIata).map(i => f"IATA_$i%02d").toVector
   def papers: Vector[String]    = (0 until NStates).map(i => f"Paper_$i%02d").toVector
 
-  /** Chain id of a city (two member cities per chain). */
-  def chainOf(cityIdx: Int): Int = cityIdx / 2
   /** Which chain member a given city_papers table lists (deterministic mix). */
   def member(tableK: Int, chain: Int): Int = MurmurHash3.productHash((tableK, chain)).abs % 2
 
@@ -53,37 +50,34 @@ object WdcLite {
   private def window[A](xs: Vector[A], start: Int, len: Int): Vector[A] =
     (0 until len).map(i => xs((start + i) % xs.size)).toVector
 
-  def apply(spark: SparkSession, seed: Long = 23): TableRepo = {
+  def apply(seed: Long = 23): TableRepo = {
     val rng = new Random(seed)
-    def df(name: String, cols: Seq[String], rows: Seq[Seq[String]]): (String, DataFrame) =
-      name -> TableRepo.df(spark, cols, rows)
-
-    val t = Vector.newBuilder[(String, DataFrame)]
+    val t = Vector.newBuilder[Table]
 
     // --- airports_k: (state, iata, airport) over sliding windows.
     for (k <- 1 to 8) {
       val st = window(states, (k - 1) * 5, 30)
       val ia = window(iatas, (k - 1) * 4, 30)
-      t += df(s"airports_$k", Seq("state", "iata", "airport"),
+      t += Table(s"airports_$k", Seq("state", "iata", "airport"),
         st.indices.map(i => Seq(st(i), ia(i), f"Airport_${k}_$i%02d")))
     }
 
     // --- churches_k: corpus filler with partially-overlapping state slices.
     for (k <- 1 to 6) {
       val st = window(states, (k - 1) * 7, 25)
-      t += df(s"churches_$k", Seq("state", "church"),
+      t += Table(s"churches_$k", Seq("state", "church"),
         st.indices.map(i => Seq(st(i), f"Church_${k}_$i%02d")))
     }
 
     // --- newspapers: one paper per state, full coverage (functional).
-    t += df("newspapers", Seq("state", "paper"),
+    t += Table("newspapers", Seq("state", "paper"),
       states.indices.map(i => Seq(states(i), papers(i))))
 
     // --- state_regions_k: nested and overlapping windows (C2/C3 driver).
     val regionWindows = Vector((0, 30), (0, 20), (5, 20), (10, 25), (0, 12), (20, 25), (15, 25), (25, 25))
     for ((k, (start, len)) <- regionWindows.zipWithIndex.map { case (w, i) => (i + 1, w) }) {
       val st = window(states, start, len)
-      t += df(s"state_regions_$k", Seq("state", "region"),
+      t += Table(s"state_regions_$k", Seq("state", "region"),
         st.map(s => Seq(s, s"Region_${states.indexOf(s) / 10}")))
     }
 
@@ -95,58 +89,58 @@ object WdcLite {
         val cityIdx = 2 * ch + member(k, ch)
         Seq(cities(cityIdx), cpaperTok(era, ch))
       }
-      t += df(s"city_papers_$k", Seq("city", "paper"), rows)
+      t += Table(s"city_papers_$k", Seq("city", "paper"), rows)
     }
 
     // --- country_pop_k / country_births_k: era-functional census tokens.
     for (k <- 1 to 8) {
       val era = if (k <= 4) "A" else "B"
       val cs = (0 until 20).map(i => ((k - 1) * 3 + i) % NCountries)
-      t += df(s"country_pop_$k", Seq("country", "population"),
+      t += Table(s"country_pop_$k", Seq("country", "population"),
         cs.map(c => Seq(countries(c), popTok(era, c))))
     }
     for (k <- 1 to 6) {
       val era = if (k <= 3) "A" else "B"
       val cs = (0 until 20).map(i => ((k - 1) * 3 + i) % NCountries)
-      t += df(s"country_births_$k", Seq("country", "birth_rate"),
+      t += Table(s"country_births_$k", Seq("country", "birth_rate"),
         cs.map(c => Seq(countries(c), brTok(era, c))))
     }
 
     // --- noise tables: ≈0.85 containment with the GT universes; archives
     //     bridge era-A and era-B token clusters.
     val stateProv = states.take(43) ++ (0 until 8).map(i => f"Province_$i%02d")
-    t += df("geo_mixed", Seq("state_prov", "geo_note"),
+    t += Table("geo_mixed", Seq("state_prov", "geo_note"),
       stateProv.zipWithIndex.map { case (s, i) => Seq(s, s"note_$i") })
 
     val iataOld = window(iatas, 0, 30).take(26) ++ (0 until 4).map(i => f"IATA_OLD_$i%02d")
-    t += df("iata_old", Seq("iata_code", "iata_note"),
+    t += Table("iata_old", Seq("iata_code", "iata_note"),
       iataOld.zipWithIndex.map { case (s, i) => Seq(s, s"inote_$i") })
 
     val paperOld = papers.take(42) ++ (0 until 8).map(i => f"OldPaper_$i%02d")
-    t += df("paper_archive", Seq("paper_old", "pa_note"),
+    t += Table("paper_archive", Seq("paper_old", "pa_note"),
       paperOld.zipWithIndex.map { case (s, i) => Seq(s, s"pnote_$i") })
 
     val cityExt = cities.take(34) ++ (0 until 6).map(i => f"ExtCity_$i%02d")
-    t += df("city_list", Seq("city_ext", "cl_note"),
+    t += Table("city_list", Seq("city_ext", "cl_note"),
       cityExt.zipWithIndex.map { case (s, i) => Seq(s, s"cnote_$i") })
 
     val cpaperOld = (0 until 17).map(ch => cpaperTok("A", ch)) ++
       (0 until 10).map(ch => cpaperTok("B", ch)) ++ (0 until 3).map(i => f"OldCPaper_$i%02d")
-    t += df("cpaper_archive", Seq("cpaper_old", "cp_note"),
+    t += Table("cpaper_archive", Seq("cpaper_old", "cp_note"),
       cpaperOld.zipWithIndex.map { case (s, i) => Seq(s, s"cpn_$i") })
 
     val countryExt = countries.take(26) ++ (0 until 5).map(i => f"ExtCountry_$i%02d")
-    t += df("country_list", Seq("country_ext", "co_note"),
+    t += Table("country_list", Seq("country_ext", "co_note"),
       countryExt.zipWithIndex.map { case (s, i) => Seq(s, s"con_$i") })
 
     val popOld = (0 until 22).map(c => popTok("A", c)) ++
       (8 until 16).map(c => popTok("B", c)) ++ (0 until 4).map(i => f"OldPop_$i%02d")
-    t += df("pop_archive", Seq("pop_old", "po_note"),
+    t += Table("pop_archive", Seq("pop_old", "po_note"),
       popOld.zipWithIndex.map { case (s, i) => Seq(s, s"pon_$i") })
 
     val brOld = (0 until 20).map(c => brTok("A", c)) ++
       (6 until 14).map(c => brTok("B", c)) ++ (0 until 4).map(i => f"OldBR_$i%02d")
-    t += df("br_archive", Seq("br_old", "br_note"),
+    t += Table("br_archive", Seq("br_old", "br_note"),
       brOld.zipWithIndex.map { case (s, i) => Seq(s, s"brn_$i") })
 
     // --- collision families: low-containment token overlap with each GT
@@ -157,7 +151,7 @@ object WdcLite {
       for (j <- 1 to count) {
         val a = rng.shuffle(valsA); val b = rng.shuffle(valsB)
         val m = math.min(a.size, b.size)
-        t += df(s"${fam}_$j", Seq(colA, colB), (0 until m).map(i => Seq(a(i), b(i))))
+        t += Table(s"${fam}_$j", Seq(colA, colB), (0 until m).map(i => Seq(a(i), b(i))))
       }
     }
     // Strided collision sets keep every real column's containment in (and
@@ -212,6 +206,6 @@ object WdcLite {
             c("country_births_1", "birth_rate") -> c("br_archive", "br_old"))),
     )
 
-    TableRepo("wdc-lite", t.result().toMap, groundTruths)
+    TableRepo("wdc-lite", t.result(), groundTruths)
   }
 }

@@ -20,7 +20,7 @@ import repro.discovery.Profiles.normalize
   * @param threshold      the containment threshold the index was built at
   */
 final class DiscoveryIndex(
-    val postings: Map[String, Vector[ColumnRef]],
+    val postings: collection.Map[String, Vector[ColumnRef]],
     val distinctCounts: Map[ColumnRef, Int],
     val containment: Map[(ColumnRef, ColumnRef), Double],
     val threshold: Double,
@@ -107,23 +107,24 @@ object DiscoveryIndex {
     * normalized, as [[Profiles.melt]] returns them.
     */
   def apply(melted: Iterable[(ColumnRef, Iterable[String])],
-            containment: Map[(ColumnRef, ColumnRef), Double], threshold: Double): DiscoveryIndex = {
-    val postings = melted.toVector
-      .flatMap { case (c, vs) => vs.map(_ -> c) }
-      .groupMap(_._1)(_._2)
-      .map { case (v, cs) => v -> cs.sortBy(c => (c.table, c.column)) }
+            containment: Map[(ColumnRef, ColumnRef), Double], threshold: Double): DiscoveryIndex =
+    apply(melted, Profiles.postings(melted), containment, threshold)
+
+  /** As above, with the melt's [[Profiles.postings]], built once per build. */
+  def apply(melted: Iterable[(ColumnRef, Iterable[String])], postings: collection.Map[String, Vector[ColumnRef]],
+            containment: Map[(ColumnRef, ColumnRef), Double], threshold: Double): DiscoveryIndex =
     new DiscoveryIndex(postings, melted.map { case (c, vs) => c -> vs.size }.toMap, containment, threshold)
-  }
 }
 
-/** Offline builder: melts the repo once, counts joinable column pairs on
-  * the driver with [[Profiles.containment]], and indexes the melt's values.
-  * No step runs a Spark job once the repo's tables are collected; `spark`
-  * is unused and stays in the signature for the callers.
+/** Offline builder: melts the repo's rows once, builds their value →
+  * columns map once, counts joinable column pairs from it on the driver
+  * with [[Profiles.containment]], and indexes it. No step runs a Spark job;
+  * `spark` is unused and stays in the signature for the callers.
   */
 object DiscoveryIndexBuilder {
   def build(spark: SparkSession, repo: TableRepo, threshold: Double = 0.8): DiscoveryIndex = {
     val melted = Profiles.melt(repo)
-    DiscoveryIndex(melted, Profiles.containment(melted, threshold), threshold)
+    val postings = Profiles.postings(melted)
+    DiscoveryIndex(melted, postings, Profiles.containment(postings, threshold), threshold)
   }
 }

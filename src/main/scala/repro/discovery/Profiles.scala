@@ -13,9 +13,9 @@ import repro.data.TableRepo
 /** Column profiling over a pathless table collection.
   *
   * This is the offline part of the DISCOVERY ENGINE (Challenge 2): the repo
-  * is melted on the driver, from the tables it collects once, into each
-  * column's distinct normalized values, and [[containment]] counts the
-  * all-pairs column overlaps from the value → columns posting lists, the
+  * is melted on the driver, from its rows, into each column's distinct
+  * normalized values, and [[containment]] counts the all-pairs column
+  * overlaps from the value → columns posting lists ([[postings]]), the
   * exact overlap counting JOSIE does over posting lists. The result is small
   * (columns², not rows²) and goes into the online [[DiscoveryIndex]].
   *
@@ -38,33 +38,45 @@ object Profiles {
   def melt(repo: TableRepo): Vector[(ColumnRef, Vector[String])] =
     repo.columnRefs.map(c => c -> repo.values(c).map(normalize).distinct)
 
+  /** The value → columns map the pair count and the index share: each
+    * normalized value's posting list, sorted by `(table, column)`; read only.
+    */
+  def postings(melted: Iterable[(ColumnRef, Iterable[String])]): collection.Map[String, Vector[ColumnRef]] = {
+    val lists = mutable.HashMap.empty[String, Vector[ColumnRef]]
+    for ((c, vs) <- melted.toVector.sortBy { case (c, _) => (c.table, c.column) }; v <- vs)
+      lists(v) = lists.getOrElse(v, Vector.empty) :+ c
+    lists
+  }
+
   /** The one pair count: the containment score
     * `max(|a∩b|/|a|, |a∩b|/|b|)` of every pair of columns from different
     * tables that share a value and score at least `threshold`, keyed with
     * `a.toString < b.toString` (the order [[columnPairs]] keeps).
     *
     * It walks each column's values and, for each value, the columns in the
-    * value's posting list, tallying shared values in one counter per column:
-    * O(columns) scratch memory and at most Σ|P(v)|² increments, the rows the
-    * self-join on `value` would produce. `melted` holds each column's
-    * distinct normalized values, as [[melt]] returns them.
+    * value's posting list ([[postings]]), tallying shared values in one
+    * counter per column: O(columns) scratch memory and at most Σ|P(v)|²
+    * increments, the rows the self-join on `value` would produce.
     */
-  def containment(melted: Seq[(ColumnRef, Seq[String])], threshold: Double): Map[(ColumnRef, ColumnRef), Double] = {
-    val cols = melted.map(_._1).toVector
-    val n = cols.size
+  def containment(postings: collection.Map[String, Vector[ColumnRef]],
+                  threshold: Double): Map[(ColumnRef, ColumnRef), Double] = {
+    // Column ids in first-seen order, and each value's posting list as ids.
+    val id = mutable.HashMap.empty[ColumnRef, Int]
+    val idLists = postings.valuesIterator.map(_.iterator.map(c => id.getOrElseUpdate(c, id.size)).toArray).toVector
+    val n = id.size
+    val cols = new Array[ColumnRef](n)
+    for ((c, i) <- id) cols(i) = c
     // Canonical order as ranks: columns whose keys are equal share a rank,
     // so neither orders before the other and they never pair.
     val keys = cols.map(_.toString)
     val rankOf = keys.distinct.sorted.zipWithIndex.toMap
-    val rank = keys.map(rankOf).toArray
+    val rank = keys.map(rankOf)
     val tableOf = cols.map(_.table).distinct.zipWithIndex.toMap
-    val table = cols.map(c => tableOf(c.table)).toArray
-    val builders = mutable.HashMap.empty[String, mutable.ArrayBuilder.ofInt]
-    for (((_, vs), i) <- melted.iterator.zipWithIndex; v <- vs)
-      builders.getOrElseUpdate(v, new mutable.ArrayBuilder.ofInt) += i
-    val postings = builders.map { case (v, b) => v -> b.result() }
+    val table = cols.map(c => tableOf(c.table))
     // Each column's values as their posting lists of column ids.
-    val lists = melted.iterator.map(_._2.iterator.map(postings).toArray).toArray
+    val builders = Array.fill(n)(Array.newBuilder[Array[Int]])
+    for (p <- idLists; i <- p) builders(i) += p
+    val lists = builders.map(_.result())
 
     val overlap = new Array[Int](n)
     val touched = new Array[Int](n)

@@ -18,7 +18,7 @@ object TableII {
   final case class Env(repo: TableRepo, index: DiscoveryIndex, ver: Ver)
 
   def env(spark: SparkSession): Env = {
-    val repo = WdcLite(spark)
+    val repo = WdcLite()
     val index = DiscoveryIndexBuilder.build(spark, repo)
     Env(repo, index, new Ver(repo, index))
   }

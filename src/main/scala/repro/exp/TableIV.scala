@@ -43,7 +43,7 @@ object TableIV {
   def run(spark: SparkSession): Vector[DistillRow] = {
     val chembl = runOn(spark, ChemblLite(spark),
       Seq("chembl-Q1", "chembl-Q2", "chembl-Q3", "chembl-Q4", "chembl-Q5"))
-    val wdc = runOn(spark, WdcLite(spark), Seq("wdc-Q2", "wdc-Q3"))
+    val wdc = runOn(spark, WdcLite(), Seq("wdc-Q2", "wdc-Q3"))
     chembl ++ wdc
   }
 

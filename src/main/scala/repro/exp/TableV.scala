@@ -24,7 +24,7 @@ object TableV {
   }
 
   def run(spark: SparkSession): Vector[HitCell] = {
-    val vers = Vector(ChemblLite(spark), WdcLite(spark))
+    val vers = Vector(ChemblLite(spark), WdcLite())
       .map(repo => new Ver(repo, DiscoveryIndexBuilder.build(spark, repo)))
     val cells = for {
       strategy <- Strategies

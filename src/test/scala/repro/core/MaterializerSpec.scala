@@ -1,41 +1,32 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, Row}
-import org.apache.spark.sql.types.{StringType, StructField, StructType}
 import org.scalacheck.{Gen, Prop, Test => SCTest}
-import scala.concurrent.{Await, Future}
-import scala.concurrent.ExecutionContext.Implicits.global
-import scala.concurrent.duration._
-import scala.jdk.CollectionConverters._
 
 import repro.{Oracle, SparkSpec}
-import repro.data.TableRepo
+import repro.data.{Table, TableRepo}
 
 /** Tests the driver-side MATERIALIZER against the DuckDB oracle: every join
   * graph materialization is checked for result-equality with the equivalent
   * SQL.
   */
 class MaterializerSpec extends SparkSpec {
+  import MaterializerSpec.sqlFor
+
   private def c(t: String, col: String) = ColumnRef(t, col)
 
-  private lazy val repo = TableRepo("mat-test", Map(
-    "orders" -> TableRepo.df(spark, Seq("oid", "cid", "status"), Seq(
+  private lazy val repo = TableRepo("mat-test", Vector(
+    Table("orders", Seq("oid", "cid", "status"), Seq(
       Seq("o1", "c1", "open"), Seq("o2", "c1", "closed"), Seq("o3", "c2", "open"),
       Seq("o4", "c9", "open"))),
-    "customers" -> TableRepo.df(spark, Seq("cid", "name"), Seq(
+    Table("customers", Seq("cid", "name"), Seq(
       Seq("c1", "alice"), Seq("c2", "bob"), Seq("c3", "carol"))),
-    "cities" -> TableRepo.df(spark, Seq("name", "city"), Seq(
+    Table("cities", Seq("name", "city"), Seq(
       Seq("alice", "paris"), Seq("bob", "tokyo"))),
   ), Vector.empty)
 
   private val join1 = ViewSpec(Set("orders", "customers"),
     Set(JoinEdge(c("orders", "cid"), c("customers", "cid"))),
     Vector(c("customers", "name"), c("orders", "status")))
-
-  /** A table whose columns may hold nulls (`TableRepo.df` declares none). */
-  private def nullableDf(cols: Seq[String], rows: Seq[Seq[String]]): DataFrame =
-    spark.createDataFrame(rows.map(r => Row.fromSeq(r)).asJava,
-      StructType(cols.map(StructField(_, StringType, nullable = true))))
 
   /** Materialize `spec` over `r` and check the view against DuckDB's answer
     * to `sql` over the spec's tables.
@@ -112,10 +103,10 @@ class MaterializerSpec extends SparkSpec {
 
   test("multi-edge connection between two tables joins on all edges") {
     // Both cid and name would have to match; build a repo where they do.
-    val r2 = TableRepo("m2", Map(
-      "a" -> TableRepo.df(spark, Seq("k1", "k2", "pa"), Seq(
+    val r2 = TableRepo("m2", Vector(
+      Table("a", Seq("k1", "k2", "pa"), Seq(
         Seq("x", "1", "p1"), Seq("y", "2", "p2"))),
-      "b" -> TableRepo.df(spark, Seq("k1", "k2", "pb"), Seq(
+      Table("b", Seq("k1", "k2", "pb"), Seq(
         Seq("x", "1", "q1"), Seq("y", "9", "q2"))),
     ), Vector.empty)
     val spec = ViewSpec(Set("a", "b"),
@@ -126,9 +117,9 @@ class MaterializerSpec extends SparkSpec {
   }
 
   test("null join keys never match and projected nulls render as ∅") {
-    val r = TableRepo("nulls", Map(
-      "l" -> nullableDf(Seq("k", "v"), Seq(Seq("k1", "v1"), Seq(null, "v2"), Seq("k3", null))),
-      "r" -> nullableDf(Seq("k", "w"), Seq(Seq("k1", "w1"), Seq(null, "w2"), Seq("k3", "w3"))),
+    val r = TableRepo("nulls", Vector(
+      Table("l", Seq("k", "v"), Seq(Seq("k1", "v1"), Seq(null, "v2"), Seq("k3", null))),
+      Table("r", Seq("k", "w"), Seq(Seq("k1", "w1"), Seq(null, "w2"), Seq("k3", "w3"))),
     ), Vector.empty)
     val spec = ViewSpec(Set("l", "r"), Set(JoinEdge(c("l", "k"), c("r", "k"))),
       Vector(c("l", "v"), c("r", "w")))
@@ -148,12 +139,12 @@ class MaterializerSpec extends SparkSpec {
 
   test("many-to-many two-hop chain with duplicate keys matches DuckDB") {
     // Every step fans out: a.k and b.k repeat, and so do b.m and c.m.
-    val r = TableRepo("m2m", Map(
-      "a" -> TableRepo.df(spark, Seq("k", "x"), Seq(
+    val r = TableRepo("m2m", Vector(
+      Table("a", Seq("k", "x"), Seq(
         Seq("1", "x1"), Seq("1", "x2"), Seq("1", "x1"), Seq("2", "x3"))),
-      "b" -> TableRepo.df(spark, Seq("k", "m", "junk"), Seq(
+      Table("b", Seq("k", "m", "junk"), Seq(
         Seq("1", "p", "j1"), Seq("1", "p", "j2"), Seq("1", "q", "j3"), Seq("2", "q", "j4"))),
-      "c" -> TableRepo.df(spark, Seq("m", "y"), Seq(
+      Table("c", Seq("m", "y"), Seq(
         Seq("p", "y1"), Seq("p", "y2"), Seq("q", "y2"), Seq("q", "y2"))),
     ), Vector.empty)
     val spec = ViewSpec(Set("a", "b", "c"),
@@ -165,32 +156,37 @@ class MaterializerSpec extends SparkSpec {
       Vector("x2", "y2"), Vector("x3", "y2")))
   }
 
-  test("tables are collected once per repo, shared across threads") {
-    val r = TableRepo("once", Map("t" -> TableRepo.df(spark, Seq("a"), Seq(Seq("1")))), Vector.empty)
-    val got = Await.result(Future.sequence(Seq.fill(8)(Future(r.rows("t")))), 1.minute)
-    assert(got.forall(_ eq got.head) && (r.rows("t") eq got.head))
-    assert(got.head == Vector(Vector("1")))
+  test("a join with a 0-row table is an empty view, and 4C counts it beside a full one") {
+    val r = TableRepo("empty-table", Vector(
+      Table("orders", Seq("oid", "cid"), Seq(Seq("o1", "c1"), Seq("o2", "c2"))),
+      Table("customers", Seq("cid", "name"), Seq(Seq("c1", "alice"), Seq("c2", "bob"))),
+      Table("refunds", Seq("cid", "name"), Seq.empty),
+    ), Vector.empty)
+    def joinWith(t: String) = ViewSpec(Set("orders", t), Set(JoinEdge(c("orders", "cid"), c(t, "cid"))),
+      Vector(c("orders", "oid"), c(t, "name")))
+    // Projected second, the 0-row table is the hashed side of the join;
+    // projected first, it is where the join starts.
+    val onRefunds = joinWith("refunds")
+    val empties = Seq(onRefunds, onRefunds.copy(projection = onRefunds.projection.reverse))
+      .map(s => assertMatchesDuckDb(r, s, sqlFor(s)))
+    for (v <- empties) assert(v.rows.isEmpty && v.schema == Vector("name", "oid"))
+    val full = assertMatchesDuckDb(r, joinWith("customers"), sqlFor(joinWith("customers")))
+    assert(full.schema == Vector("name", "oid") && full.size == 2)
+
+    // The empty view is contained in the full one, so C2 drops it; no
+    // candidate key is shared by two views, so C3 leaves one view.
+    val views = Vector(empties.head, full)
+    def counts(vs: Seq[MatView]) = {
+      val d = ViewDistillation.distill(vs)
+      (d.original, d.afterCompatible, d.afterContained, d.c3Worst, d.c3Best, d.distilled.map(_.rowSet))
+    }
+    val pinned = (2, 2, 1, 1, 1, Vector(full.rowSet))
+    for (ids <- Seq("a", "b").permutations; order <- views.indices.permutations) {
+      val vs = order.map(i => views(i).copy(id = ids(i)))
+      assert(counts(vs) == pinned, vs.map(_.id))
+    }
   }
 
-  /** DuckDB SQL for a spec: inner equi-joins in reach order, the projection
-    * aliased like [[Materializer.dedupeNames]], set semantics.
-    */
-  private def sqlFor(spec: ViewSpec): String = {
-    def ref(col: ColumnRef) = s"${col.table}.${col.column}"
-    val first = spec.tables.min
-    var reached = Set(first)
-    val from = new StringBuilder(first)
-    while (reached != spec.tables) {
-      val t = (spec.tables -- reached).filter(t => spec.edges.exists(e => e.touches(t) && e.tables.exists(reached))).min
-      val on = spec.edges.filter(e => e.touches(t) && e.tables.exists(reached))
-        .map(e => s"${ref(e.endpointIn(t))} = ${ref(e.endpointNotIn(t))}")
-      from ++= s" JOIN $t ON ${on.mkString(" AND ")}"
-      reached += t
-    }
-    val cols = spec.projection.zip(Materializer.dedupeNames(spec.projection.map(_.column)))
-      .map { case (col, n) => s"${ref(col)} AS $n" }
-    s"SELECT DISTINCT ${cols.mkString(", ")} FROM $from"
-  }
 
   test("randomized: materialize equals DuckDB on small repos with nulls") {
     val cols = Vector("a", "b", "c")
@@ -213,11 +209,33 @@ class MaterializerSpec extends SparkSpec {
       proj.map { case (t, col) => c(t, col) }.toVector))
 
     val prop = Prop.forAllNoShrink(caseGen) { case (data, spec) =>
-      val r = TableRepo("random", data.map { case (t, rows) => t -> nullableDf(cols, rows) }, Vector.empty)
+      val r = TableRepo("random", data.toVector.map { case (t, rows) => Table(t, cols, rows) }, Vector.empty)
       assertMatchesDuckDb(r, spec, sqlFor(spec))
       true
     }
     val res = SCTest.check(SCTest.Parameters.default.withMinSuccessfulTests(40), prop)
     assert(res.passed, res.status.toString)
+  }
+}
+
+object MaterializerSpec {
+  /** DuckDB SQL for a spec: inner equi-joins in reach order, the projection
+    * aliased like [[Materializer.dedupeNames]], set semantics.
+    */
+  def sqlFor(spec: ViewSpec): String = {
+    def ref(col: ColumnRef) = s"${col.table}.${col.column}"
+    val first = spec.tables.min
+    var reached = Set(first)
+    val from = new StringBuilder(first)
+    while (reached != spec.tables) {
+      val t = (spec.tables -- reached).filter(t => spec.edges.exists(e => e.touches(t) && e.tables.exists(reached))).min
+      val on = spec.edges.filter(e => e.touches(t) && e.tables.exists(reached))
+        .map(e => s"${ref(e.endpointIn(t))} = ${ref(e.endpointNotIn(t))}")
+      from ++= s" JOIN $t ON ${on.mkString(" AND ")}"
+      reached += t
+    }
+    val cols = spec.projection.zip(Materializer.dedupeNames(spec.projection.map(_.column)))
+      .map { case (col, n) => s"${ref(col)} AS $n" }
+    s"SELECT DISTINCT ${cols.mkString(", ")} FROM $from"
   }
 }

@@ -10,7 +10,7 @@ import repro.discovery.{DiscoveryIndex, DiscoveryIndexBuilder}
   * from noisy QBE query to distilled, presentable views.
   */
 class VerEndToEndSpec extends SparkSpec {
-  private lazy val wdcRepo = WdcLite(spark)
+  private lazy val wdcRepo = WdcLite()
   private lazy val wdcIndex = DiscoveryIndexBuilder.build(spark, wdcRepo)
   private lazy val wdcVer = new Ver(wdcRepo, wdcIndex)
   private lazy val chemblRepo = ChemblLite(spark)

@@ -6,43 +6,35 @@ import repro.core.ColumnRef
 class ChemblLiteSpec extends SparkSpec {
   private lazy val repo = ChemblLite(spark)
 
-  private def values(c: ColumnRef): Set[String] =
-    repo(c.table).select(c.column).distinct().collect().map(_.getString(0)).toSet
+  private def values(c: ColumnRef): Set[String] = repo.values(c).toSet
 
   test("all expected tables exist") {
     val expected = Set("cell_dictionary", "assays", "assay_archive", "bioassay_ontology",
       "target_dictionary", "component_sequences", "component_class", "target_synonyms",
       "activities", "molecule_dictionary", "compound_records", "old_compounds",
       "lab_notes_1", "lab_notes_2", "lab_notes_3")
-    assert(repo.tables.keySet == expected)
+    assert(repo.data.map(_.name).toSet == expected)
   }
   test("schemas are all-string and as declared") {
-    assert(repo("assays").columns.toSeq ==
-      Seq("assay_id", "cell_id", "cell_name", "cell_description", "assay_type", "assay_organism"))
-    assert(repo.tables.values.forall(_.schema.fields.forall(_.dataType.typeName == "string")))
+    assert(repo.columns("assays") ==
+      Vector("assay_id", "cell_id", "cell_name", "cell_description", "assay_type", "assay_organism"))
   }
   test("generation is deterministic in the seed") {
-    val again = ChemblLite(spark)
-    for (t <- Seq("assays", "component_class", "activities")) {
-      assert(repo(t).collect().toSeq == again(t).collect().toSeq, t)
-    }
+    assert(ChemblLite(spark) == repo)
   }
   test("different seeds change the data") {
     val other = ChemblLite(spark, seed = 99)
-    assert(repo("assays").collect().toSeq != other("assays").collect().toSeq)
+    assert(repo.rows("assays") != other.rows("assays"))
   }
 
   test("cell_dictionary aligns cell_id, cell_name, cell_description one-to-one") {
-    val rows = repo("cell_dictionary").collect()
-    assert(rows.map(_.getString(0)).distinct.length == rows.length)
-    assert(rows.map(_.getString(1)).distinct.length == rows.length)
-    assert(rows.map(_.getString(2)).distinct.length == rows.length)
+    val rows = repo.rows("cell_dictionary")
+    for (i <- 0 until 3) assert(rows.map(_(i)).distinct.length == rows.length)
   }
   test("assays carry the cell triple consistently with cell_dictionary") {
-    val dict = repo("cell_dictionary").collect()
-      .map(r => r.getString(0) -> (r.getString(1), r.getString(2))).toMap
-    repo("assays").collect().foreach { r =>
-      assert(dict(r.getString(1)) == ((r.getString(2), r.getString(3))),
+    val dict = repo.rows("cell_dictionary").map(r => r(0) -> ((r(1), r(2)))).toMap
+    repo.rows("assays").foreach { r =>
+      assert(dict(r(1)) == ((r(2), r(3))),
         "the three aligned join keys must produce identical views (C1 design)")
     }
   }
@@ -63,7 +55,7 @@ class ChemblLiteSpec extends SparkSpec {
     assert(c >= 0.8 && c < 1.0, s"containment=$c")
   }
   test("component_class.pref_name is a permutation of the protein universe") {
-    val cc = repo("component_class").collect().map(_.getString(1))
+    val cc = repo.rows("component_class").map(_(1))
     assert(cc.distinct.length == cc.length, "unique per row → candidate key in Q4 views")
     assert(values(ColumnRef("component_class", "pref_name"))
       .subsetOf(values(ColumnRef("target_dictionary", "pref_name"))))
@@ -91,9 +83,9 @@ class ChemblLiteSpec extends SparkSpec {
       Vector("chembl-Q1", "chembl-Q2", "chembl-Q3", "chembl-Q4", "chembl-Q5"))
     for (gt <- repo.groundTruths) {
       assert(gt.spec.connected, gt.name)
-      gt.spec.tables.foreach(t => assert(repo.tables.contains(t), s"${gt.name}: $t"))
+      gt.spec.tables.foreach(t => assert(repo.data.exists(_.name == t), s"${gt.name}: $t"))
       for (c <- gt.spec.projection ++ gt.noiseColumns.values)
-        assert(repo(c.table).columns.contains(c.column), s"${gt.name}: $c")
+        assert(repo.columns(c.table).contains(c.column), s"${gt.name}: $c")
     }
   }
   test("Q2's ground truth is a 2-hop join through activities") {
@@ -102,6 +94,6 @@ class ChemblLiteSpec extends SparkSpec {
   }
   test("scale shrinks the tables") {
     val small = ChemblLite(spark, scale = 0.5)
-    assert(small("assays").count() < repo("assays").count())
+    assert(small.rows("assays").size < repo.rows("assays").size)
   }
 }

@@ -1,13 +1,12 @@
 package repro.data
 
-import repro.SparkSpec
+import org.scalatest.funsuite.AnyFunSuite
+
 import repro.core.{ColumnRef, NoiseLevel}
 
-class QueryGenSpec extends SparkSpec {
-  private lazy val repo = WdcLite(spark)
-  private lazy val valueCache = scala.collection.mutable.Map.empty[ColumnRef, Vector[String]]
-  private def values(c: ColumnRef): Vector[String] = valueCache.getOrElseUpdate(c,
-    repo(c.table).select(c.column).distinct().collect().map(_.getString(0)).toVector.sorted)
+class QueryGenSpec extends AnyFunSuite {
+  private lazy val repo = WdcLite()
+  private def values(c: ColumnRef): Vector[String] = repo.values(c)
 
   private lazy val gt = repo.groundTruths.head
 

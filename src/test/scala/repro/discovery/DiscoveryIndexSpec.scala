@@ -1,13 +1,10 @@
 package repro.discovery
 
-import org.apache.spark.sql.Row
-import org.apache.spark.sql.types.{StringType, StructField, StructType}
 import org.scalacheck.{Gen, Prop, Test => SCTest}
-import scala.jdk.CollectionConverters._
 
 import repro.SparkSpec
 import repro.core.ColumnRef
-import repro.data.TableRepo
+import repro.data.{Table, TableRepo}
 
 /** Tests the offline index builder (driver pair count → online index) end
   * to end on small repos, and its pair count against the Spark reference
@@ -15,18 +12,14 @@ import repro.data.TableRepo
   */
 class DiscoveryIndexSpec extends SparkSpec {
 
-  private def nullable(cols: Seq[String], rows: Seq[Seq[String]]) =
-    spark.createDataFrame(rows.map(r => Row.fromSeq(r)).asJava,
-      StructType(cols.map(StructField(_, StringType, nullable = true))))
-
-  private lazy val repo = TableRepo("idx-test", Map(
-    "users"    -> TableRepo.df(spark, Seq("uid", "city"), Seq(
+  private lazy val repo = TableRepo("idx-test", Vector(
+    Table("users", Seq("uid", "city"), Seq(
       Seq("u1", "paris"), Seq("u2", "tokyo"), Seq("u3", "lima"))),
-    "orders"   -> TableRepo.df(spark, Seq("uid", "item"), Seq(
+    Table("orders", Seq("uid", "item"), Seq(
       Seq("u1", "pen"), Seq("u2", "ink"), Seq("u2", "pad"))),
-    "cities"   -> TableRepo.df(spark, Seq("city", "pop"), Seq(
+    Table("cities", Seq("city", "pop"), Seq(
       Seq("paris", "2m"), Seq("tokyo", "14m"), Seq("oslo", "0.7m"))),
-    "unrelated" -> TableRepo.df(spark, Seq("w"), Seq(Seq("zzz"))),
+    Table("unrelated", Seq("w"), Seq(Seq("zzz"))),
   ), Vector.empty)
 
   private lazy val index = DiscoveryIndexBuilder.build(spark, repo, threshold = 0.6)
@@ -82,19 +75,19 @@ class DiscoveryIndexSpec extends SparkSpec {
 
   test("containment keys order columns by their string form, not by (table, column)") {
     // "t-x.k" < "t.k" because '-' < '.', while ("t", "k") < ("t-x", "k").
-    val r = TableRepo("key-order", Map(
-      "t"   -> TableRepo.df(spark, Seq("k"), Seq(Seq("a"), Seq("b"))),
-      "t-x" -> TableRepo.df(spark, Seq("k"), Seq(Seq("a"), Seq("b"), Seq("c"))),
+    val r = TableRepo("key-order", Vector(
+      Table("t", Seq("k"), Seq(Seq("a"), Seq("b"))),
+      Table("t-x", Seq("k"), Seq(Seq("a"), Seq("b"), Seq("c"))),
     ), Vector.empty)
     val idx = DiscoveryIndexBuilder.build(spark, r, threshold = 0.8)
     assert(idx.containment == Map((ColumnRef("t-x", "k"), ColumnRef("t", "k")) -> 1.0))
     assert(idx.containment == SparkContainment(spark, r, 0.8))
   }
   test("a 0-row table and an all-null column profile to 0 and form no pair") {
-    val r = TableRepo("empty-inputs", Map(
-      "empty" -> TableRepo.df(spark, Seq("e"), Seq.empty),
-      "nulls" -> nullable(Seq("n", "k"), Seq(Seq(null, "a"), Seq(null, "b"))),
-      "other" -> TableRepo.df(spark, Seq("k"), Seq(Seq("a"), Seq("b"))),
+    val r = TableRepo("empty-inputs", Vector(
+      Table("empty", Seq("e"), Seq.empty),
+      Table("nulls", Seq("n", "k"), Seq(Seq(null, "a"), Seq(null, "b"))),
+      Table("other", Seq("k"), Seq(Seq("a"), Seq("b"))),
     ), Vector.empty)
     val empties = Set(ColumnRef("empty", "e"), ColumnRef("nulls", "n"))
     for (threshold <- Seq(0.0, 0.8)) {
@@ -106,7 +99,7 @@ class DiscoveryIndexSpec extends SparkSpec {
       assert(idx.containment == Map((ColumnRef("nulls", "k"), ColumnRef("other", "k")) -> 1.0))
       assert(idx.containment == SparkContainment(spark, r, threshold))
     }
-    assert(Profiles.containment(Vector.empty, 0.0).isEmpty)
+    assert(Profiles.containment(Map.empty, 0.0).isEmpty)
   }
 
   test("randomized: containment equals a driver reference, and keyword search agrees with overlap") {
@@ -127,7 +120,7 @@ class DiscoveryIndexSpec extends SparkSpec {
     }.toMap, threshold)
 
     val prop = Prop.forAllNoShrink(caseGen) { case (tables, threshold) =>
-      val repo = TableRepo("random", tables.map { case (t, (cols, rows)) => t -> nullable(cols, rows) },
+      val repo = TableRepo("random", tables.toVector.map { case (t, (cols, rows)) => Table(t, cols, rows) },
         Vector.empty)
       val idx = DiscoveryIndexBuilder.build(spark, repo, threshold)
 

@@ -2,7 +2,7 @@ package repro.discovery
 
 import repro.SparkSpec
 import repro.core.ColumnRef
-import repro.data.TableRepo
+import repro.data.{Table, TableRepo}
 
 /** Tests the Spark reference pair count in [[Profiles]] (the self-join that
   * `DiscoveryIndexSpec` and the corpus sweep compare the driver's
@@ -11,12 +11,12 @@ import repro.data.TableRepo
   */
 class ProfilesSpec extends SparkSpec {
 
-  private lazy val repo = TableRepo("prof-test", Map(
-    "t1" -> TableRepo.df(spark, Seq("a", "b"), Seq(
+  private lazy val repo = TableRepo("prof-test", Vector(
+    Table("t1", Seq("a", "b"), Seq(
       Seq("x", "1"), Seq("y", "2"), Seq("x", "3"))),
-    "t2" -> TableRepo.df(spark, Seq("a2", "c"), Seq(
+    Table("t2", Seq("a2", "c"), Seq(
       Seq("x", "1"), Seq("y", "9"), Seq("z", "9"))),
-    "t3" -> TableRepo.df(spark, Seq("d"), Seq(Seq("q"))),
+    Table("t3", Seq("d"), Seq(Seq("q"))),
   ), Vector.empty)
 
   private lazy val cv = Profiles.columnValues(spark, repo).cache()
@@ -52,8 +52,7 @@ class ProfilesSpec extends SparkSpec {
   }
   test("columnPairs excludes same-table pairs") {
     // t1.a and t1.b share no values anyway; force a same-table overlap:
-    val r2 = TableRepo("same", Map(
-      "t" -> TableRepo.df(spark, Seq("p", "q"), Seq(Seq("v", "v")))), Vector.empty)
+    val r2 = TableRepo("same", Vector(Table("t", Seq("p", "q"), Seq(Seq("v", "v")))), Vector.empty)
     val cv2 = Profiles.columnValues(spark, r2)
     assert(Profiles.columnPairs(cv2).count() == 0)
   }
