@@ -40,8 +40,7 @@ final case class TableRepo(name: String, data: Vector[Table], groundTruths: Vect
   private val byName = data.map(t => t.name -> t).toMap
   require(byName.size == data.size, s"duplicate table names in repo $name")
 
-  private def table(t: String): Table =
-    byName.getOrElse(t, throw new IllegalArgumentException(s"unknown table $t in repo $name"))
+  private def table(t: String) = byName.getOrElse(t, throw new IllegalArgumentException(s"unknown table $t in repo $name"))
 
   def columns(t: String): Vector[String] = table(t).columns
 

@@ -73,9 +73,10 @@ object Profiles {
     val rank = keys.map(rankOf)
     val tableOf = cols.map(_.table).distinct.zipWithIndex.toMap
     val table = cols.map(c => tableOf(c.table))
-    // Each column's values as their posting lists of column ids.
+    // Distinct counts, and each column's posting lists that name another column.
+    val size = new Array[Int](n)
     val builders = Array.fill(n)(Array.newBuilder[Array[Int]])
-    for (p <- idLists; i <- p) builders(i) += p
+    for (p <- idLists; i <- p) { size(i) += 1; if (p.length > 1) builders(i) += p }
     val lists = builders.map(_.result())
 
     val overlap = new Array[Int](n)
@@ -102,7 +103,7 @@ object Profiles {
         val j = touched(k)
         val ov = overlap(j).toDouble
         overlap(j) = 0
-        val score = math.max(ov / lists(i).length, ov / lists(j).length)
+        val score = math.max(ov / size(i), ov / size(j))
         if (score >= threshold) out += (cols(i), cols(j)) -> score
       }
     }

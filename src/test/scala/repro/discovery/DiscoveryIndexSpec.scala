@@ -53,6 +53,15 @@ class DiscoveryIndexSpec extends SparkSpec {
     assert(index.searchKeyword("PARIS").nonEmpty, "case-insensitive")
     assert(index.searchKeyword("absent").isEmpty)
   }
+  test("searchKeyword lists a value's columns sorted by (table, column)") {
+    // The melt visits s.c, t.b, t.a: table by name, then declared column order.
+    val r = TableRepo("order", Vector(
+      Table("t", Seq("b", "a"), Seq(Seq("x", "X"))),
+      Table("s", Seq("c"), Seq(Seq("x"))),
+    ), Vector.empty)
+    val idx = DiscoveryIndexBuilder.build(spark, r)
+    assert(idx.searchKeyword("x") == Vector(ColumnRef("s", "c"), ColumnRef("t", "a"), ColumnRef("t", "b")))
+  }
   test("join edges are derived per table pair") {
     assert(index.joinEdges("users", "orders").size == 1)
     assert(index.joinEdges("orders", "users").size == 1, "order-insensitive lookup")
