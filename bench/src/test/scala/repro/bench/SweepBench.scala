@@ -7,14 +7,16 @@ import scala.util.Try
 
 import repro.SparkSpec
 import repro.data.{ChemblLite, OpenDataLite, Table, TableRepo}
-import repro.discovery.{Profiles, SparkContainment}
+import repro.discovery.{DiscoveryIndexBuilder, Profiles, SparkContainment}
 
-/** Corpus sweep of the index build's pair count: at each corpus point it
-  * times generating the corpus and melting its rows ([[Profiles.melt]]) once,
-  * the driver count ([[Profiles.postings]] then [[Profiles.containment]])
-  * three times and the Spark self-join reference ([[SparkContainment]])
-  * once, checks that both give the same joinable pairs, and writes every
-  * timing to `BENCH_sweep.json` at the repository root.
+/** Corpus sweep of the index build: at each corpus point it times
+  * generating the corpus and profiling its rows ([[Profiles.profile]]) once,
+  * the driver pair count over that profile ([[Profiles.containment]]) three
+  * times, the whole build ([[DiscoveryIndexBuilder.build]]) three times and
+  * the Spark self-join reference ([[SparkContainment]]) once, checks that
+  * the pair counts, the builds and the reference give the same joinable
+  * pairs, and writes every timing to `BENCH_sweep.json` at the repository
+  * root.
   *
   * The points grow tables (chembl-lite rows, opendata-lite fillers, which
   * add no joinable pairs) and join structure: the hot-value corpus is `n`
@@ -24,7 +26,7 @@ import repro.discovery.{Profiles, SparkContainment}
   */
 class SweepBench extends SparkSpec {
   private val Threshold = 0.8
-  private val DriverRuns = 3
+  private val Runs = 3
 
   private def hotValues(n: Int): TableRepo = {
     val rows = (0 until 100).map(v => Seq(f"hv_$v%03d"))
@@ -51,23 +53,29 @@ class SweepBench extends SparkSpec {
     )
     val rows = points.map { case (name, corpus) =>
       val (repo, generateMs) = ms(corpus())
-      val (melted, meltMs) = ms(Profiles.melt(repo))
-      val driver = Vector.fill(DriverRuns)(ms(Profiles.containment(Profiles.postings(melted), Threshold)))
+      val (profile, profileMs) = ms(Profiles.profile(repo))
+      val pairs = Vector.fill(Runs)(ms(Profiles.containment(profile, Threshold)))
+      val builds = Vector.fill(Runs)(ms(DiscoveryIndexBuilder.build(spark, repo, Threshold)))
       val (reference, sparkMs) = ms(SparkContainment(spark, repo, Threshold))
-      driver.foreach { case (pairs, _) => assert(pairs == reference, name) }
-      (name, repo.data.size, melted.map(_._2.size).sum, reference.size, generateMs, meltMs, driver.map(_._2), sparkMs)
+      pairs.foreach { case (p, _) => assert(p == reference, name) }
+      builds.foreach { case (idx, _) => assert(idx.containment == reference, name) }
+      (name, repo.data.size, profile.distinctCounts.sum, reference.size, generateMs, profileMs, pairs.map(_._2),
+        builds.map(_._2), sparkMs)
     }
 
     def fmt(xs: Seq[Double]) = xs.map(x => f"$x%.1f").mkString("[", ", ", "]")
-    println(f"${"Corpus"}%-28s ${"Tables"}%7s ${"Triples"}%8s ${"Joinable"}%9s ${"Gen ms"}%8s ${"Melt ms"}%8s  Driver ms / Spark ms")
-    for ((name, tables, triples, joinable, generateMs, meltMs, driverMs, sparkMs) <- rows)
-      println(f"$name%-28s $tables%7d $triples%8d $joinable%9d $generateMs%8.1f $meltMs%8.1f  ${fmt(driverMs)} / $sparkMs%.1f")
+    println(f"${"Corpus"}%-28s ${"Tables"}%7s ${"Triples"}%8s ${"Joinable"}%9s ${"Gen ms"}%8s ${"Prof ms"}%8s  " +
+      "Pairs ms / Build ms / Spark ms")
+    for ((name, tables, triples, joinable, generateMs, profileMs, pairsMs, buildMs, sparkMs) <- rows)
+      println(f"$name%-28s $tables%7d $triples%8d $joinable%9d $generateMs%8.1f $profileMs%8.1f  " +
+        s"${fmt(pairsMs)} / ${fmt(buildMs)} / " + f"$sparkMs%.1f")
 
     val sha = git("rev-parse", "HEAD").getOrElse("unknown") +
       (if (git("status", "--porcelain", "--untracked-files=no").isDefined) "-dirty" else "")
-    val json = rows.map { case (name, tables, triples, joinable, generateMs, meltMs, driverMs, sparkMs) =>
+    val json = rows.map { case (name, tables, triples, joinable, generateMs, profileMs, pairsMs, buildMs, sparkMs) =>
       s"""    {"corpus": "$name", "tables": $tables, "triples": $triples, "joinable_pairs": $joinable, """ +
-        f""""generate_ms": $generateMs%.1f, "melt_ms": $meltMs%.1f, "driver_ms": ${fmt(driverMs)}, "spark_ms": ${fmt(Seq(sparkMs))}}"""
+        f""""generate_ms": $generateMs%.1f, "profile_ms": $profileMs%.1f, "pairs_ms": ${fmt(pairsMs)}, """ +
+        s""""build_ms": ${fmt(buildMs)}, "spark_ms": ${fmt(Seq(sparkMs))}}"""
     }.mkString(
       s"""{\n  "git_sha": "$sha",\n  "threshold": $Threshold,\n  "cpus": ${Runtime.getRuntime.availableProcessors},\n  "points": [\n""",
       ",\n", "\n  ]\n}\n")

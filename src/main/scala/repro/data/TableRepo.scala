@@ -47,9 +47,7 @@ final case class TableRepo(name: String, data: Vector[Table], groundTruths: Vect
   /** A table's rows, in [[columns]] order, nulls kept as null. */
   def rows(t: String): Vector[Vector[String]] = table(t).rows
 
-  /** A column's distinct non-null cell strings, sorted: the values query
-    * generation samples examples from and the discovery melt normalizes.
-    */
+  /** A column's distinct non-null cell strings, sorted, for query generation to sample from. */
   def values(c: ColumnRef): Vector[String] = {
     val i = columns(c.table).indexOf(c.column)
     require(i >= 0, s"unknown column $c in repo $name")

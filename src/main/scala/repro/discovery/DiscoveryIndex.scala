@@ -1,43 +1,47 @@
 package repro.discovery
 
+import java.util.Arrays
 import org.apache.spark.sql.SparkSession
+import scala.collection.Searching.Found
 
 import repro.core.{ColumnRef, JoinEdge}
 import repro.data.TableRepo
 import repro.discovery.Profiles.normalize
 
 /** The online discovery index (Appendix A of the paper): the compact result
-  * of the profiling job, serving Aurum's three functions — SEARCH-KEYWORD,
+  * of the profiling pass, serving Aurum's three functions — SEARCH-KEYWORD,
   * NEIGHBORS and GENERATE-JOIN-GRAPHS — and the Alg. 4 overlap score to the
   * rest of Ver. Every value lookup normalizes with [[Profiles.normalize]],
-  * the rule the melt applied to the indexed values.
+  * the rule the profiling pass applied to the indexed values.
   *
-  * @param postings       normalized value → the columns holding it, sorted
-  * @param distinctCounts distinct normalized values per column, for every
-  *                       profiled column (0 if it has none)
-  * @param containment    containment score per canonically-ordered joinable
-  *                       column pair (score ≥ `threshold` only)
-  * @param threshold      the containment threshold the index was built at
+  * @param profile     the profiling pass's output; its `postings` (normalized value →
+  *                    ascending column ids) are served as they are, decoded through its `columns`
+  * @param containment containment score per canonically-ordered joinable
+  *                    column pair (score ≥ `threshold` only)
+  * @param threshold   the containment threshold the index was built at
   */
 final class DiscoveryIndex(
-    val postings: collection.Map[String, Vector[ColumnRef]],
-    val distinctCounts: Map[ColumnRef, Int],
+    val profile: Profiles.Profile,
     val containment: Map[(ColumnRef, ColumnRef), Double],
     val threshold: Double,
 ) {
+  import profile.{columns, postings}
+  val distinctCounts: Map[ColumnRef, Int] = columns.zip(profile.distinctCounts).toMap
   def distinctCount(c: ColumnRef): Int = distinctCounts.getOrElse(c, 0)
 
   /** SEARCH-KEYWORD(value): columns containing the value (exact match after
     * normalization — see DESIGN.md substitution 6 for the fuzzy case).
     */
   def searchKeyword(value: String): Vector[ColumnRef] =
-    postings.getOrElse(normalize(value), Vector.empty)
+    postings.get(normalize(value)).fold(Vector.empty[ColumnRef])(_.iterator.map(columns).toVector)
 
   /** Alg. 4's overlap `|c ∩ examples|`: distinct normalized examples that
     * column `c` contains.
     */
-  def overlap(c: ColumnRef, examples: Seq[String]): Int =
-    examples.map(normalize).distinct.count(v => postings.get(v).exists(_.contains(c)))
+  def overlap(c: ColumnRef, examples: Seq[String]): Int = columns.search(c)(Profiles.columnOrder) match {
+    case Found(id) => examples.map(normalize).distinct.count(v => postings.get(v).exists(Arrays.binarySearch(_, id) >= 0))
+    case _ => 0
+  }
 
   /** NEIGHBORS(c): columns joinable with `c` at the index's threshold. */
   lazy val neighbors: Map[ColumnRef, Set[ColumnRef]] = {
@@ -103,28 +107,20 @@ final class DiscoveryIndex(
 }
 
 object DiscoveryIndex {
-  /** The index over per-column values that are already distinct and
-    * normalized, as [[Profiles.melt]] returns them.
-    */
-  def apply(melted: Iterable[(ColumnRef, Iterable[String])],
+  /** The index over per-column values, profiled by [[Profiles.profile]]. */
+  def apply(cells: Iterable[(ColumnRef, Iterable[String])],
             containment: Map[(ColumnRef, ColumnRef), Double], threshold: Double): DiscoveryIndex =
-    apply(melted, Profiles.postings(melted), containment, threshold)
-
-  /** As above, with the melt's [[Profiles.postings]], built once per build. */
-  def apply(melted: Iterable[(ColumnRef, Iterable[String])], postings: collection.Map[String, Vector[ColumnRef]],
-            containment: Map[(ColumnRef, ColumnRef), Double], threshold: Double): DiscoveryIndex =
-    new DiscoveryIndex(postings, melted.map { case (c, vs) => c -> vs.size }.toMap, containment, threshold)
+    new DiscoveryIndex(Profiles.profile(cells), containment, threshold)
 }
 
-/** Offline builder: melts the repo's rows once, builds their value →
-  * columns map once, counts joinable column pairs from it on the driver
-  * with [[Profiles.containment]], and indexes it. No step runs a Spark job;
+/** Offline builder: profiles the repo's rows in one pass, counts joinable
+  * column pairs from the profile's posting lists on the driver with
+  * [[Profiles.containment]], and indexes both. No step runs a Spark job;
   * `spark` is unused and stays in the signature for the callers.
   */
 object DiscoveryIndexBuilder {
   def build(spark: SparkSession, repo: TableRepo, threshold: Double = 0.8): DiscoveryIndex = {
-    val melted = Profiles.melt(repo)
-    val postings = Profiles.postings(melted)
-    DiscoveryIndex(melted, postings, Profiles.containment(postings, threshold), threshold)
+    val profile = Profiles.profile(repo)
+    new DiscoveryIndex(profile, Profiles.containment(profile, threshold), threshold)
   }
 }

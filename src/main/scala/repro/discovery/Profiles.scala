@@ -1,6 +1,6 @@
 package repro.discovery
 
-import java.util.Locale
+import java.util.{Arrays, Locale}
 import org.apache.spark.sql.{DataFrame, Row, SparkSession}
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types.{StringType, StructField, StructType}
@@ -12,12 +12,11 @@ import repro.data.TableRepo
 
 /** Column profiling over a pathless table collection.
   *
-  * This is the offline part of the DISCOVERY ENGINE (Challenge 2): the repo
-  * is melted on the driver, from its rows, into each column's distinct
-  * normalized values, and [[containment]] counts the all-pairs column
-  * overlaps from the value → columns posting lists ([[postings]]), the
-  * exact overlap counting JOSIE does over posting lists. The result is small
-  * (columns², not rows²) and goes into the online [[DiscoveryIndex]].
+  * This is the offline part of the DISCOVERY ENGINE (Challenge 2): one pass over the
+  * repo's rows ([[profile]]) gives each normalized value's posting list of column ids, and
+  * [[containment]] counts the all-pairs column overlaps from those lists, the exact overlap
+  * counting JOSIE does over posting lists. The result is small (columns², not rows²) and
+  * goes into the online [[DiscoveryIndex]].
   *
   * [[columnValues]], [[columnStats]], [[columnPairs]] and [[joinablePairs]]
   * are the Spark self-join on `value` that counted the pairs before; they
@@ -32,20 +31,33 @@ object Profiles {
     */
   def normalize(value: String): String = value.toLowerCase(Locale.ROOT)
 
-  /** Each column's distinct normalized non-null values, in
-    * `repo.columnRefs` order; a column without values gets an empty vector.
-    */
-  def melt(repo: TableRepo): Vector[(ColumnRef, Vector[String])] =
-    repo.columnRefs.map(c => c -> repo.values(c).map(normalize).distinct)
+  /** The order of column ids. */
+  val columnOrder: Ordering[ColumnRef] = Ordering.by(c => (c.table, c.column))
 
-  /** The value → columns map the pair count and the index share: each
-    * normalized value's posting list, sorted by `(table, column)`; read only.
+  /** The pass's output: columns in [[columnOrder]] (id = position), each value's ascending ids, distinct counts. */
+  final case class Profile(columns: Vector[ColumnRef], postings: collection.Map[String, Array[Int]],
+                           distinctCounts: Array[Int])
+
+  def profile(repo: TableRepo): Profile =
+    profile(repo.data.flatMap(t => t.columns.indices.map(i => ColumnRef(t.name, t.columns(i)) -> t.rows.view.map(_(i)))))
+
+  /** The one profiling pass. It visits columns in [[columnOrder]] and appends a column's id to a non-null
+    * cell's value list unless the list ends with it: lists stay ascending and count each value once.
     */
-  def postings(melted: Iterable[(ColumnRef, Iterable[String])]): collection.Map[String, Vector[ColumnRef]] = {
-    val lists = mutable.HashMap.empty[String, Vector[ColumnRef]]
-    for ((c, vs) <- melted.toVector.sortBy { case (c, _) => (c.table, c.column) }; v <- vs)
-      lists(v) = lists.getOrElse(v, Vector.empty) :+ c
-    lists
+  def profile(cells: Iterable[(ColumnRef, Iterable[String])]): Profile = {
+    val sorted = cells.toVector.sortBy(_._1)(columnOrder)
+    val lists = mutable.HashMap.empty[String, Array[Int]] // unboxed, doubling; slot 0 = length until trimmed
+    val counts = new Array[Int](sorted.size)
+    for (((_, vs), id) <- sorted.zipWithIndex; cell <- vs if cell != null) {
+      val v = normalize(cell)
+      val l = lists.getOrElseUpdate(v, new Array[Int](4))
+      val n = l(0)
+      if (n == 0 || l(n) != id) {
+        val m = if (n + 1 < l.length) l else { val g = Arrays.copyOf(l, 2 * l.length); lists(v) = g; g }
+        m(n + 1) = id; m(0) = n + 1; counts(id) += 1
+      }
+    }
+    Profile(sorted.map(_._1), lists.mapValuesInPlace((_, l) => Arrays.copyOfRange(l, 1, l(0) + 1)), counts)
   }
 
   /** The one pair count: the containment score
@@ -54,29 +66,23 @@ object Profiles {
     * `a.toString < b.toString` (the order [[columnPairs]] keeps).
     *
     * It walks each column's values and, for each value, the columns in the
-    * value's posting list ([[postings]]), tallying shared values in one
-    * counter per column: O(columns) scratch memory and at most Σ|P(v)|²
-    * increments, the rows the self-join on `value` would produce.
+    * value's posting list, tallying shared values in one counter per
+    * column: O(columns) scratch memory and at most Σ|P(v)|² increments, the
+    * rows the self-join on `value` would produce.
     */
-  def containment(postings: collection.Map[String, Vector[ColumnRef]],
-                  threshold: Double): Map[(ColumnRef, ColumnRef), Double] = {
-    // Column ids in first-seen order, and each value's posting list as ids.
-    val id = mutable.HashMap.empty[ColumnRef, Int]
-    val idLists = postings.valuesIterator.map(_.iterator.map(c => id.getOrElseUpdate(c, id.size)).toArray).toVector
-    val n = id.size
-    val cols = new Array[ColumnRef](n)
-    for ((c, i) <- id) cols(i) = c
+  def containment(profile: Profile, threshold: Double): Map[(ColumnRef, ColumnRef), Double] = {
+    val cols = profile.columns
+    val n = cols.size
     // Canonical order as ranks: columns whose keys are equal share a rank,
     // so neither orders before the other and they never pair.
     val keys = cols.map(_.toString)
     val rankOf = keys.distinct.sorted.zipWithIndex.toMap
-    val rank = keys.map(rankOf)
+    val rank = keys.map(rankOf).toArray
     val tableOf = cols.map(_.table).distinct.zipWithIndex.toMap
-    val table = cols.map(c => tableOf(c.table))
-    // Distinct counts, and each column's posting lists that name another column.
-    val size = new Array[Int](n)
+    val table = cols.map(c => tableOf(c.table)).toArray
+    // Each column's posting lists that name another column.
     val builders = Array.fill(n)(Array.newBuilder[Array[Int]])
-    for (p <- idLists; i <- p) { size(i) += 1; if (p.length > 1) builders(i) += p }
+    for (p <- profile.postings.valuesIterator if p.length > 1; i <- p) builders(i) += p
     val lists = builders.map(_.result())
 
     val overlap = new Array[Int](n)
@@ -103,17 +109,17 @@ object Profiles {
         val j = touched(k)
         val ov = overlap(j).toDouble
         overlap(j) = 0
-        val score = math.max(ov / size(i), ov / size(j))
+        val score = math.max(ov / profile.distinctCounts(i), ov / profile.distinctCounts(j))
         if (score >= threshold) out += (cols(i), cols(j)) -> score
       }
     }
     out.result()
   }
 
-  /** Reference: the melt as one DataFrame of `(tbl, col, value)` triples. */
+  /** Reference: `(tbl, col, value)` triples from [[TableRepo.values]], not from [[profile]]. */
   def columnValues(spark: SparkSession, repo: TableRepo): DataFrame = {
     val schema = StructType(Seq("tbl", "col", "value").map(StructField(_, StringType, nullable = false)))
-    val rows = melt(repo).flatMap { case (c, vs) => vs.map(v => Row(c.table, c.column, v)) }
+    val rows = for (c <- repo.columnRefs; v <- repo.values(c).map(normalize).distinct) yield Row(c.table, c.column, v)
     spark.createDataFrame(rows.asJava, schema)
   }
 

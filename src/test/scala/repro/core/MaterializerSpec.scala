@@ -88,6 +88,19 @@ class MaterializerSpec extends SparkSpec {
     assert(v.rows == Vector(Vector("c1", "c1"), Vector("c2", "c2")))
   }
 
+  test("suffixes skip names already taken, so a 3-column projection has unique names") {
+    assert(Materializer.dedupeNames(Vector("a", "a", "a_2")) == Vector("a", "a_3", "a_2"))
+    val r = TableRepo("dup-names", Vector(
+      Table("t", Seq("a", "a_2"), Seq(Seq("k1", "p"), Seq("k2", "q"))),
+      Table("u", Seq("a"), Seq(Seq("k1"), Seq("k3"))),
+    ), Vector.empty)
+    val spec = ViewSpec(Set("t", "u"), Set(JoinEdge(c("t", "a"), c("u", "a"))), Vector(c("t", "a"), c("u", "a"), c("t", "a_2")))
+    val v = assertMatchesDuckDb(r, spec, sqlFor(spec))
+    assert(v.schema == Vector("a", "a_2", "a_3") && v.rows == Vector(Vector("k1", "p", "k1")))
+    val e = intercept[IllegalArgumentException](MatView("v9", spec, Vector("a", "a"), Vector.empty))
+    assert(e.getMessage.contains("v9"))
+  }
+
   test("disconnected specs are rejected") {
     val spec = ViewSpec(Set("orders", "cities"), Set.empty,
       Vector(c("orders", "oid"), c("cities", "city")))

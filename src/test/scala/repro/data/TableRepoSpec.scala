@@ -57,7 +57,8 @@ class TableRepoSpec extends SparkSpec {
     val removed = DiscoveryIndexBuilder.build(spark, nullsRemoved, threshold = 0.0)
     assert(index.searchKeyword(Materializer.NullCell).isEmpty)
     assert(index.containment.nonEmpty && index.containment == removed.containment)
-    assert(index.postings == removed.postings && index.distinctCounts == removed.distinctCounts)
+    assert(index.profile.columns == removed.profile.columns && index.distinctCounts == removed.distinctCounts)
+    assert(index.profile.postings.view.mapValues(_.toVector).toMap == removed.profile.postings.view.mapValues(_.toVector).toMap)
 
     // The null keys of l and r never meet: they would add (y, p).
     val spec = ViewSpec(Set("l", "r"), Set(JoinEdge(c("l", "k"), c("r", "k"))), Vector(c("l", "v"), c("r", "w")))

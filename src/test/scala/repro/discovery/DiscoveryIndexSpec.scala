@@ -54,7 +54,7 @@ class DiscoveryIndexSpec extends SparkSpec {
     assert(index.searchKeyword("absent").isEmpty)
   }
   test("searchKeyword lists a value's columns sorted by (table, column)") {
-    // The melt visits s.c, t.b, t.a: table by name, then declared column order.
+    // Declared as t.b, t.a, s.c.
     val r = TableRepo("order", Vector(
       Table("t", Seq("b", "a"), Seq(Seq("x", "X"))),
       Table("s", Seq("c"), Seq(Seq("x"))),
@@ -77,7 +77,8 @@ class DiscoveryIndexSpec extends SparkSpec {
   }
   test("the index build is deterministic") {
     val again = DiscoveryIndexBuilder.build(spark, repo, threshold = 0.6)
-    assert(again.postings == index.postings)
+    assert(again.profile.columns == index.profile.columns)
+    assert(again.profile.postings.view.mapValues(_.toVector).toMap == index.profile.postings.view.mapValues(_.toVector).toMap)
     assert(again.distinctCounts == index.distinctCounts)
     assert(again.containment == index.containment)
   }
@@ -108,7 +109,7 @@ class DiscoveryIndexSpec extends SparkSpec {
       assert(idx.containment == Map((ColumnRef("nulls", "k"), ColumnRef("other", "k")) -> 1.0))
       assert(idx.containment == SparkContainment(spark, r, threshold))
     }
-    assert(Profiles.containment(Map.empty, 0.0).isEmpty)
+    assert(Profiles.containment(Profiles.profile(TableRepo("none", Vector.empty, Vector.empty)), 0.0).isEmpty)
   }
 
   test("randomized: containment equals a driver reference, and keyword search agrees with overlap") {
@@ -156,6 +157,50 @@ class DiscoveryIndexSpec extends SparkSpec {
       true
     }
     val res = SCTest.check(SCTest.Parameters.default.withMinSuccessfulTests(25), prop)
+    assert(res.passed, res.status.toString)
+  }
+
+  test("40 one-column tables sharing one value give one 40-column posting list in order") {
+    // Declared in reverse, so the list's order comes from the pass, not the repo.
+    val r = TableRepo("shared", Vector.tabulate(40)(i => Table(f"t${39 - i}%02d", Seq("v"), Seq(Seq("s")))), Vector.empty)
+    val p = Profiles.profile(r)
+    assert(p.postings.keySet == Set("s"))
+    assert(p.postings("s").toVector == (0 until 40))
+    assert(p.postings("s").toVector.map(p.columns) == Vector.tabulate(40)(i => ColumnRef(f"t$i%02d", "v")))
+    assert(p.distinctCounts.forall(_ == 1))
+  }
+
+  test("randomized: the profiling pass equals per-column value sets") {
+    val alphabet = Vector("a", "A", "b", "B", "c")
+    val cell = Gen.frequency(6 -> Gen.oneOf(alphabet), 1 -> Gen.const(null: String))
+    val tableGen = for {
+      nCols <- Gen.choose(1, 3)
+      // Columns declared out of name order, e.g. c2, c0, c1.
+      cols <- Gen.oneOf(Vector.tabulate(nCols)(i => s"c$i").permutations.toVector)
+      nRows <- Gen.choose(0, 6)
+      rows <- Gen.listOfN(nRows, Gen.listOfN(nCols, cell))
+    } yield (cols, rows)
+    val caseGen = Gen.choose(1, 4).flatMap(n => Gen.listOfN(n, tableGen)).map(_.zipWithIndex.map {
+      // Table t0's first column always repeats one value non-consecutively, in two cases.
+      case ((cols, rows), 0) => Table("t0", cols, rows ++ Seq("x", "y", "X").map(v => v +: cols.tail.map(_ => null)))
+      case ((cols, rows), i) => Table(s"t$i", cols, rows)
+    }.reverse.toVector)
+
+    val prop = Prop.forAllNoShrink(caseGen) { tables =>
+      val p = Profiles.profile(TableRepo("random", tables, Vector.empty))
+      val sets = tables.flatMap(t => t.columns.indices.map(j => ColumnRef(t.name, t.columns(j)) ->
+        t.rows.flatMap(r => Option(r(j))).map(Profiles.normalize).toSet)).toMap
+      val ordered = sets.keys.toVector.sortBy(c => (c.table, c.column))
+      assert(p.columns == ordered)
+      assert(p.distinctCounts.toVector == ordered.map(sets(_).size))
+      assert(p.postings.keySet == sets.values.flatten.toSet)
+      for ((v, ids) <- p.postings) {
+        assert(ids.toVector == ids.toVector.distinct.sorted, s"$v: ${ids.toVector}")
+        assert(ids.toVector.map(p.columns) == ordered.filter(sets(_).contains(v)), v)
+      }
+      true
+    }
+    val res = SCTest.check(SCTest.Parameters.default.withMinSuccessfulTests(200), prop)
     assert(res.passed, res.status.toString)
   }
 }
