@@ -1,0 +1,30 @@
+package repro.bench
+
+import java.nio.charset.StandardCharsets
+import java.nio.file.{Files, Paths}
+import scala.sys.process._
+import scala.util.Try
+
+/** What the bench suites share: timing a call, and writing a
+  * `BENCH_*.json` stamped with the commit it measured at the repository
+  * root.
+  */
+object BenchFiles {
+  def ms[A](f: => A): (A, Double) = {
+    val t0 = System.nanoTime()
+    val a = f
+    (a, (System.nanoTime() - t0) / 1e6)
+  }
+
+  private def git(args: String*): Option[String] =
+    Try(Process("git" +: args).!!(ProcessLogger(_ => ())).trim).toOption.filter(_.nonEmpty)
+
+  /** HEAD's SHA, suffixed `-dirty` when tracked files differ from it. */
+  def sha: String = git("rev-parse", "HEAD").getOrElse("unknown") +
+    (if (git("status", "--porcelain", "--untracked-files=no").isDefined) "-dirty" else "")
+
+  def write(fileName: String, json: String): Unit = {
+    val root = git("rev-parse", "--show-toplevel").getOrElse(sys.props("user.dir"))
+    Files.write(Paths.get(root, fileName), json.getBytes(StandardCharsets.UTF_8))
+  }
+}

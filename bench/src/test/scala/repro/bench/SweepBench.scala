@@ -1,11 +1,7 @@
 package repro.bench
 
-import java.nio.charset.StandardCharsets
-import java.nio.file.{Files, Paths}
-import scala.sys.process._
-import scala.util.Try
-
 import repro.SparkSpec
+import repro.bench.BenchFiles.ms
 import repro.data.{ChemblLite, OpenDataLite, Table, TableRepo}
 import repro.discovery.{DiscoveryIndexBuilder, Profiles, SparkContainment}
 
@@ -32,15 +28,6 @@ class SweepBench extends SparkSpec {
     val rows = (0 until 100).map(v => Seq(f"hv_$v%03d"))
     TableRepo(s"hot-values-$n", (0 until n).map(t => Table(f"hot_$t%04d", Seq("v"), rows)).toVector, Vector.empty)
   }
-
-  private def ms[A](f: => A): (A, Double) = {
-    val t0 = System.nanoTime()
-    val a = f
-    (a, (System.nanoTime() - t0) / 1e6)
-  }
-
-  private def git(args: String*): Option[String] =
-    Try(Process("git" +: args).!!(ProcessLogger(_ => ())).trim).toOption.filter(_.nonEmpty)
 
   test("sweep: the driver pair count equals the Spark reference at every corpus point") {
     val points: Seq[(String, () => TableRepo)] = Seq(
@@ -70,16 +57,13 @@ class SweepBench extends SparkSpec {
       println(f"$name%-28s $tables%7d $triples%8d $joinable%9d $generateMs%8.1f $profileMs%8.1f  " +
         s"${fmt(pairsMs)} / ${fmt(buildMs)} / " + f"$sparkMs%.1f")
 
-    val sha = git("rev-parse", "HEAD").getOrElse("unknown") +
-      (if (git("status", "--porcelain", "--untracked-files=no").isDefined) "-dirty" else "")
     val json = rows.map { case (name, tables, triples, joinable, generateMs, profileMs, pairsMs, buildMs, sparkMs) =>
       s"""    {"corpus": "$name", "tables": $tables, "triples": $triples, "joinable_pairs": $joinable, """ +
         f""""generate_ms": $generateMs%.1f, "profile_ms": $profileMs%.1f, "pairs_ms": ${fmt(pairsMs)}, """ +
         s""""build_ms": ${fmt(buildMs)}, "spark_ms": ${fmt(Seq(sparkMs))}}"""
     }.mkString(
-      s"""{\n  "git_sha": "$sha",\n  "threshold": $Threshold,\n  "cpus": ${Runtime.getRuntime.availableProcessors},\n  "points": [\n""",
+      s"""{\n  "git_sha": "${BenchFiles.sha}",\n  "threshold": $Threshold,\n  "cpus": ${Runtime.getRuntime.availableProcessors},\n  "points": [\n""",
       ",\n", "\n  ]\n}\n")
-    val root = git("rev-parse", "--show-toplevel").getOrElse(sys.props("user.dir"))
-    Files.write(Paths.get(root, "BENCH_sweep.json"), json.getBytes(StandardCharsets.UTF_8))
+    BenchFiles.write("BENCH_sweep.json", json)
   }
 }

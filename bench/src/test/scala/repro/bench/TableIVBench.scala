@@ -1,6 +1,8 @@
 package repro.bench
 
 import repro.SparkSpec
+import repro.bench.BenchFiles.ms
+import repro.core.{ColumnStrategy, Stats, ViewDistillation}
 import repro.exp.TableIV
 
 /** Benchmark harness for Table IV: 4C distillation's effect on the number
@@ -9,10 +11,18 @@ import repro.exp.TableIV
   * compatible-heavy ChEMBL queries (multiple aligned join keys), a
   * containment-heavy WDC Q2, and a WDC Q3 whose worst-case key barely
   * unions while the best-case key collapses the set.
+  *
+  * Table IV is the MATERIALIZER's heaviest traffic (up to 100 views per
+  * query), so the suite also times each query's materialization and
+  * distillation, `Runs` times each, and writes the medians with the view
+  * and row counts to `BENCH_tableIV.json` at the repository root.
   */
 class TableIVBench extends SparkSpec {
+  private val Runs = 3
+
   test("Table IV: effect of 4C distillation on #views") {
-    val rows = TableIV.run(spark)
+    val queries = TableIV.queries(spark)
+    val rows = queries.map(q => TableIV.distillFor(q.ver, q.nq, TableIV.MaterializeCap))
     println(TableIV.render(rows))
     assert(rows.size == 7 * 3, "7 queries × 3 noise levels")
     rows.foreach { r =>
@@ -30,5 +40,38 @@ class TableIVBench extends SparkSpec {
     val wq3 = rows.filter(_.query == "wdc-Q3")
     assert(wq3.exists(r => r.c3Best * 2 <= r.c3Worst),
       "wdc-Q3's best key unions much more than its worst key")
+
+    val timed = queries.map { q =>
+      val specs = q.ver.searchSpecs(q.nq.query, ColumnStrategy.ColumnSelection())
+      val runs = Vector.fill(Runs) {
+        // A collection before each timed stage, so that the garbage one
+        // stage leaves is not collected on the other's clock.
+        System.gc()
+        val (views, materializeMs) = ms(q.ver.materialize(specs, TableIV.MaterializeCap))
+        System.gc()
+        val (_, distillMs) = ms(ViewDistillation.distill(views))
+        (views, materializeMs, distillMs)
+      }
+      val views = runs.head._1
+      (q, views.size, views.map(_.rows.size).sum, Stats.median(runs.map(_._2)), Stats.median(runs.map(_._3)))
+    }
+    println(f"${"Query"}%-10s ${"Noise"}%-5s ${"Views"}%6s ${"Rows"}%7s ${"Mat ms"}%8s ${"Distill ms"}%10s")
+    for ((q, views, viewRows, matMs, distillMs) <- timed)
+      println(f"${q.nq.gt.name}%-10s ${q.nq.level.name}%-5s $views%6d $viewRows%7d $matMs%8.1f $distillMs%10.1f")
+
+    val corpora = queries.map(_.ver.repo).distinct.map { r =>
+      s"""    {"corpus": "${r.name}", "tables": ${r.data.size}, "rows": ${r.data.map(_.rows.size).sum}}"""
+    }
+    val lines = timed.map { case (q, views, viewRows, matMs, distillMs) =>
+      s"""    {"corpus": "${q.ver.repo.name}", "query": "${q.nq.gt.name}", "noise": "${q.nq.level.name}", """ +
+        f""""views": $views, "rows": $viewRows, "materialize_ms": $matMs%.2f, "distill_ms": $distillMs%.2f}"""
+    }
+    val json =
+      s"""{\n  "git_sha": "${BenchFiles.sha}",\n  "cpus": ${Runtime.getRuntime.availableProcessors},\n""" +
+        s"""  "runs": $Runs,\n  "materialize_cap": ${TableIV.MaterializeCap},\n""" +
+        f"""  "total_materialize_ms": ${timed.map(_._4).sum}%.2f,\n  "total_distill_ms": ${timed.map(_._5).sum}%.2f,\n""" +
+        corpora.mkString("  \"corpora\": [\n", ",\n", "\n  ],\n") +
+        lines.mkString("  \"queries\": [\n", ",\n", "\n  ]\n}\n")
+    BenchFiles.write("BENCH_tableIV.json", json)
   }
 }

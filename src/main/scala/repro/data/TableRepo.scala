@@ -4,7 +4,7 @@ import org.apache.spark.sql.{DataFrame, Row, SparkSession}
 import org.apache.spark.sql.types.{StringType, StructField, StructType}
 import scala.jdk.CollectionConverters._
 
-import repro.core.{ColumnRef, ViewSpec}
+import repro.core.{ColumnRef, Materializer, ViewSpec}
 
 /** Ground-truth query over a repo: the PJ-view spec the noisy QBE queries
   * are generated from (§VI-B), plus, per projected ground-truth column, the
@@ -35,6 +35,9 @@ object Table {
   * a real CSV lake — types, keys and FKs are absent by construction) and no
   * join-path metadata. Ground truths are carried for workload generation and
   * evaluation only; no component of Ver reads them.
+  *
+  * The MATERIALIZER reads the rows through [[encoded]], one dictionary
+  * encoding of every cell, built on first use.
   */
 final case class TableRepo(name: String, data: Vector[Table], groundTruths: Vector[GroundTruth]) {
   private val byName = data.map(t => t.name -> t).toMap
@@ -54,6 +57,11 @@ final case class TableRepo(name: String, data: Vector[Table], groundTruths: Vect
     rows(c.table).iterator.map(_(i)).filter(_ != null).distinct.toVector.sorted
   }
 
+  /** The repo's cells as dictionary codes, built on first use (the index
+    * build never needs it). Codes are exact: no normalization.
+    */
+  lazy val encoded: TableRepo.Encoded = TableRepo.encode(data)
+
   def columnRefs: Vector[ColumnRef] = data.sortBy(_.name).flatMap(t => t.columns.map(ColumnRef(t.name, _)))
 
   /** DataFrames of the rows in the active session, built on first use for
@@ -66,6 +74,48 @@ final case class TableRepo(name: String, data: Vector[Table], groundTruths: Vect
 }
 
 object TableRepo {
+  /** A repo's cells as ints. `cells` holds every distinct non-null cell
+    * string and [[Materializer.NullCell]], sorted by `String.compareTo`; a
+    * cell's code is its index there, and a null cell's code is −1. So equal
+    * codes are equal cells, and code order is the cells' string order.
+    * `columns(t)(i)` holds the codes of table `t`'s column `i`, row by row.
+    */
+  final class Encoded private[TableRepo] (val cells: Array[String], val columns: Map[String, Array[Array[Int]]]) {
+    /** The code of [[Materializer.NullCell]], how a projected null renders. */
+    val nullCellCode: Int = cells.indexOf(Materializer.NullCell)
+  }
+
+  /** Codes each cell in first-seen order with one hash lookup, then remaps
+    * the codes to ranks in the sorted dictionary.
+    */
+  private def encode(data: Vector[Table]): Encoded = {
+    val ids = new java.util.HashMap[String, Integer]
+    val seen = scala.collection.mutable.ArrayBuffer.empty[String]
+    def id(s: String): Int = {
+      val i = ids.get(s)
+      if (i != null) i.intValue
+      else { ids.put(s, seen.size); seen += s; seen.size - 1 }
+    }
+    id(Materializer.NullCell)
+    val columns = data.map { t =>
+      t.name -> Array.tabulate(t.columns.size) { c =>
+        val out = new Array[Int](t.rows.size)
+        var r = 0
+        t.rows.foreach { row => val s = row(c); out(r) = if (s == null) -1 else id(s); r += 1 }
+        out
+      }
+    }
+    val cells = seen.toArray.sorted
+    val rank = new Array[Int](cells.length)
+    var i = 0
+    while (i < cells.length) { rank(ids.get(cells(i)).intValue) = i; i += 1 }
+    for ((_, cols) <- columns; col <- cols) {
+      var r = 0
+      while (r < col.length) { if (col(r) >= 0) col(r) = rank(col(r)); r += 1 }
+    }
+    new Encoded(cells, columns.toMap)
+  }
+
   /** An all-string DataFrame of driver rows; every column is nullable, so
     * null cells stay null.
     */

@@ -3,7 +3,7 @@ package repro.exp
 import org.apache.spark.sql.SparkSession
 
 import repro.core._
-import repro.data.{ChemblLite, QueryGen, TableRepo, WdcLite}
+import repro.data.{ChemblLite, NoisyQuery, QueryGen, TableRepo, WdcLite}
 import repro.discovery.DiscoveryIndexBuilder
 
 /** Table IV: effect of view distillation based on 4C signals on the number
@@ -21,8 +21,14 @@ object TableIV {
       c2.toString, c3Worst.toString, c3Best.toString)
   }
 
+  /** Views materialized per query: the top-ranked specs. */
+  val MaterializeCap = 100
+
+  /** One Table IV query with the pipeline over its corpus. */
+  final case class Query(ver: Ver, nq: NoisyQuery)
+
   /** Run CS pipeline + materialization + distillation for one query. */
-  def distillFor(ver: Ver, nq: repro.data.NoisyQuery, materializeCap: Int): DistillRow = {
+  def distillFor(ver: Ver, nq: NoisyQuery, materializeCap: Int): DistillRow = {
     val res = ver.searchSpecs(nq.query, ColumnStrategy.ColumnSelection())
     val views = ver.materialize(res, materializeCap)
     val report = ViewDistillation.distill(views)
@@ -30,22 +36,21 @@ object TableIV {
       report.afterContained, report.c3Worst, report.c3Best)
   }
 
-  def runOn(spark: SparkSession, repo: TableRepo, gtNames: Seq[String],
-            materializeCap: Int = 100): Vector[DistillRow] = {
-    val index = DiscoveryIndexBuilder.build(spark, repo)
-    val ver = new Ver(repo, index)
+  def queriesOn(spark: SparkSession, repo: TableRepo, gtNames: Seq[String]): Vector[Query] = {
+    val ver = new Ver(repo, DiscoveryIndexBuilder.build(spark, repo))
     for {
       gt <- repo.groundTruths.filter(g => gtNames.contains(g.name))
       level <- NoiseLevel.all
-    } yield distillFor(ver, QueryGen.generate(gt, level, 0, repo.values), materializeCap)
+    } yield Query(ver, QueryGen.generate(gt, level, 0, repo.values))
   }
 
-  def run(spark: SparkSession): Vector[DistillRow] = {
-    val chembl = runOn(spark, ChemblLite(spark),
-      Seq("chembl-Q1", "chembl-Q2", "chembl-Q3", "chembl-Q4", "chembl-Q5"))
-    val wdc = runOn(spark, WdcLite(), Seq("wdc-Q2", "wdc-Q3"))
-    chembl ++ wdc
-  }
+  /** ChEMBL Q1-Q5, then WDC Q2-Q3, each at every noise level. */
+  def queries(spark: SparkSession): Vector[Query] =
+    queriesOn(spark, ChemblLite(spark), Seq("chembl-Q1", "chembl-Q2", "chembl-Q3", "chembl-Q4", "chembl-Q5")) ++
+      queriesOn(spark, WdcLite(), Seq("wdc-Q2", "wdc-Q3"))
+
+  def run(spark: SparkSession): Vector[DistillRow] =
+    queries(spark).map(q => distillFor(q.ver, q.nq, MaterializeCap))
 
   def render(rows: Seq[DistillRow]): String =
     Fmt.table("Table IV: effect of 4C view distillation on #views",

@@ -201,28 +201,55 @@ class MaterializerSpec extends SparkSpec {
   }
 
 
-  test("randomized: materialize equals DuckDB on small repos with nulls") {
-    val cols = Vector("a", "b", "c")
-    val cell = Gen.frequency(5 -> Gen.oneOf("x", "y", "z"), 1 -> Gen.const(null: String))
-    val tableGen = Gen.choose(0, 6).flatMap(n => Gen.listOfN(n, Gen.listOfN(cols.size, cell)))
-    def edgesGen(t: String, u: String) = Gen.choose(1, 2).flatMap(n =>
-      Gen.listOfN(n, Gen.zip(Gen.oneOf(cols), Gen.oneOf(cols))).map(_.map { case (x, y) =>
-        JoinEdge(c(t, x), c(u, y)) }))
-    val caseGen = for {
-      nTables <- Gen.choose(2, 3)
-      names = Vector.tabulate(nTables)(i => s"t$i")
-      data <- Gen.listOfN(nTables, tableGen)
-      // A chain over the tables, plus the closing pair of a triangle half the time.
-      pairs <- Gen.oneOf(true, false).map(closed =>
-        names.zip(names.tail) ++ Option.when(closed && nTables == 3)(names.head -> names.last))
-      edges <- Gen.sequence[List[List[JoinEdge]], List[JoinEdge]](pairs.map { case (t, u) => edgesGen(t, u) })
-      nProj <- Gen.choose(1, 3)
-      proj <- Gen.listOfN(nProj, Gen.zip(Gen.oneOf(names), Gen.oneOf(cols)))
-    } yield (names.zip(data).toMap, ViewSpec(names.toSet, edges.flatten.toSet,
-      proj.map { case (t, col) => c(t, col) }.toVector))
+  test("cells that differ only by case never join, and DuckDB agrees") {
+    val r = TableRepo("case", Vector(
+      Table("l", Seq("k", "v"), Seq(Seq("Abc", "upper"), Seq("abc", "lower"), Seq("ABC", "caps"))),
+      Table("r", Seq("k", "w"), Seq(Seq("abc", "w1"), Seq("aBc", "w2"))),
+    ), Vector.empty)
+    val spec = ViewSpec(Set("l", "r"), Set(JoinEdge(c("l", "k"), c("r", "k"))), Vector(c("l", "v"), c("r", "w")))
+    val v = assertMatchesDuckDb(r, spec, sqlFor(spec))
+    assert(v.rows == Vector(Vector("lower", "w1")))
+  }
 
-    val prop = Prop.forAllNoShrink(caseGen) { case (data, spec) =>
-      val r = TableRepo("random", data.toVector.map { case (t, rows) => Table(t, cols, rows) }, Vector.empty)
+  test("randomized: materialize equals the Vector[String] reference, row order included") {
+    // Empty strings, ∅ cells next to null ones, and shared prefixes.
+    val cell = Gen.frequency(3 -> Gen.oneOf("a", "ab", "b", "A", "", Materializer.NullCell), 1 -> Gen.const(null: String))
+    val prop = Prop.forAllNoShrink(MaterializerSpec.caseGen(cell, maxTables = 3, maxRows = 8)) { case (r, spec) =>
+      val v = Materializer.materialize(r, spec, "v")
+      val ref = MaterializerReference.materialize(r, spec, "v")
+      Prop(v == ref) :| s"$spec over ${r.data}:\n  got ${v.rows}\n  ref ${ref.rows}"
+    }
+    val res = SCTest.check(SCTest.Parameters.default.withMinSuccessfulTests(1000), prop)
+    assert(res.passed, res.status.toString)
+  }
+
+  test("the canonical row order equals the old U+0000-joined key order on cells without U+0000") {
+    val cell = Gen.oneOf(Gen.oneOf("", "a", "ab", "b", "A", "∅", "a b"), Gen.asciiPrintableStr)
+    val rows = Gen.choose(1, 3).flatMap(w => Gen.listOf(Gen.listOfN(w, cell).map(_.toVector)).map(w -> _))
+    val prop = Prop.forAll(rows) { case (w, rs) =>
+      val schema = Vector.tabulate(w)(i => s"c$i")
+      val v = MatView.fromRows("v", ViewSpec.singleTable(schema.map(c("t", _))), schema, rs)
+      v.rows == rs.distinct.sortBy(_.mkString("\u0000")).toVector
+    }
+    val res = SCTest.check(SCTest.Parameters.default.withMinSuccessfulTests(500), prop)
+    assert(res.passed, res.status.toString)
+  }
+
+  test("a U+0000 inside a cell does not change the cell-by-cell row order") {
+    // Joined with U+0000, the row (a, z) gave a key that sorted after the
+    // other row's; cell by cell, "a" sorts before "a" + U+0000 + "a".
+    val rows = Seq(Seq("a\u0000a", "b"), Seq("a", "z"))
+    val schema = Vector("x", "y")
+    val v = MatView.fromRows("v", ViewSpec.singleTable(schema.map(c("t", _))), schema, rows)
+    assert(v.rows == Vector(Vector("a", "z"), Vector("a\u0000a", "b")))
+    assert(rows.sortBy(_.mkString("\u0000")) == rows)
+    val r = TableRepo("nul", Vector(Table("t", schema, rows)), Vector.empty)
+    assert(Materializer.materialize(r, ViewSpec.singleTable(schema.map(c("t", _))), "v") == v)
+  }
+
+  test("randomized: materialize equals DuckDB on small repos with nulls") {
+    val cell = Gen.frequency(5 -> Gen.oneOf("x", "y", "z"), 1 -> Gen.const(null: String))
+    val prop = Prop.forAllNoShrink(MaterializerSpec.caseGen(cell, maxTables = 3, maxRows = 6)) { case (r, spec) =>
       assertMatchesDuckDb(r, spec, sqlFor(spec))
       true
     }
@@ -232,6 +259,33 @@ class MaterializerSpec extends SparkSpec {
 }
 
 object MaterializerSpec {
+  private val cols = Vector("a", "b", "c")
+
+  /** A random repo of 2 to `maxTables` tables over columns a, b, c with 0 to
+    * `maxRows` rows of `cell`s, and a spec over all of them: a chain of
+    * one- or two-edge (composite-key) joins, plus the closing pair of a
+    * triangle half the time, projecting 1 to 3 columns, whose bare names
+    * may repeat.
+    */
+  def caseGen(cell: Gen[String], maxTables: Int, maxRows: Int): Gen[(TableRepo, ViewSpec)] = {
+    def c(t: String, col: String) = ColumnRef(t, col)
+    val tableGen = Gen.choose(0, maxRows).flatMap(n => Gen.listOfN(n, Gen.listOfN(cols.size, cell)))
+    def edgesGen(t: String, u: String) = Gen.choose(1, 2).flatMap(n =>
+      Gen.listOfN(n, Gen.zip(Gen.oneOf(cols), Gen.oneOf(cols))).map(_.map { case (x, y) =>
+        JoinEdge(c(t, x), c(u, y)) }))
+    for {
+      nTables <- Gen.choose(2, maxTables)
+      names = Vector.tabulate(nTables)(i => s"t$i")
+      data <- Gen.listOfN(nTables, tableGen)
+      pairs <- Gen.oneOf(true, false).map(closed =>
+        names.zip(names.tail) ++ Option.when(closed && nTables == 3)(names.head -> names.last))
+      edges <- Gen.sequence[List[List[JoinEdge]], List[JoinEdge]](pairs.map { case (t, u) => edgesGen(t, u) })
+      nProj <- Gen.choose(1, 3)
+      proj <- Gen.listOfN(nProj, Gen.zip(Gen.oneOf(names), Gen.oneOf(cols)))
+    } yield (TableRepo("random", names.zip(data).map { case (t, rows) => Table(t, cols, rows) }, Vector.empty),
+      ViewSpec(names.toSet, edges.flatten.toSet, proj.map { case (t, col) => c(t, col) }.toVector))
+  }
+
   /** DuckDB SQL for a spec: inner equi-joins in reach order, the projection
     * aliased like [[Materializer.dedupeNames]], set semantics.
     */

@@ -46,6 +46,20 @@ class TableRepoSpec extends SparkSpec {
     assert(withNulls.values(c("r", "k")) == Vector("a", "b", "c"))
   }
 
+  test("the encoded form ranks cells by String.compareTo, with null as -1 and ∅ in the dictionary") {
+    val r = TableRepo("enc", Vector(
+      Table("t", Seq("a", "b"), Seq(Seq("ab", null), Seq("a", "Abc"), Seq("", "abc"))),
+      Table("u", Seq("c"), Seq(Seq("abc"), Seq(Materializer.NullCell))),
+      Table("empty", Seq("d"), Seq.empty),
+    ), Vector.empty)
+    val enc = r.encoded
+    assert(enc.cells.toVector == Vector("", "Abc", "a", "ab", "abc", Materializer.NullCell))
+    assert(enc.nullCellCode == 5)
+    assert(enc.columns("t").map(_.toVector).toVector == Vector(Vector(3, 2, 0), Vector(-1, 1, 4)))
+    assert(enc.columns("u").map(_.toVector).toVector == Vector(Vector(4, 5)))
+    assert(enc.columns("empty").map(_.toVector).toVector == Vector(Vector.empty))
+  }
+
   test("the DataFrame view holds each table's rows, nulls included") {
     for (repo <- Seq(withNulls, ChemblLite(spark)); t <- repo.data.map(_.name))
       assert(viewRows(repo, t) == repo.rows(t), s"${repo.name}.$t")
