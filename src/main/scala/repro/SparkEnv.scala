@@ -7,7 +7,7 @@ import org.apache.spark.sql.SparkSession
   * paths are exercised.
   */
 object SparkEnv {
-  lazy val session: SparkSession = SparkSession.builder
+  lazy val session: SparkSession = SparkSession.builder()
     .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
     .appName("repro-ver")
     .config("spark.sql.shuffle.partitions", sys.env.getOrElse("SPARK_SHUFFLE_PARTITIONS", "64"))

@@ -33,7 +33,7 @@ object JoinGraphSearch {
 
   def search(cands: Vector[Set[ColumnRef]], index: DiscoveryIndex): SearchResult = {
     requireArity(cands.size)
-    val sorted = cands.map(_.toVector.sortBy(_.toString))
+    val sorted = cands.map(_.toVector.sorted)
     val combos =
       if (sorted.size == 1) sorted(0).map(Vector(_))
       else for (a <- sorted(0); b <- sorted(1)) yield Vector(a, b)

@@ -5,9 +5,15 @@ final case class ColumnRef(table: String, column: String) {
   override def toString: String = s"$table.$column"
 }
 
+object ColumnRef {
+  /** The one column order, by table, then by column: ids, containment keys, join edges and column lists follow it. */
+  implicit val ordering: Ordering[ColumnRef] = (a, b) =>
+    if (a.table == b.table) a.column.compareTo(b.column) else a.table.compareTo(b.table)
+}
+
 /** Undirected equi-join edge between columns of two distinct tables.
   *
-  * Construction canonicalizes endpoint order so `JoinEdge(a, b) ==
+  * Construction puts the endpoints in [[ColumnRef.ordering]], so `JoinEdge(a, b) ==
   * JoinEdge(b, a)` and edge sets deduplicate structurally.
   */
 final case class JoinEdge private (left: ColumnRef, right: ColumnRef) {
@@ -29,8 +35,7 @@ final case class JoinEdge private (left: ColumnRef, right: ColumnRef) {
 object JoinEdge {
   def apply(a: ColumnRef, b: ColumnRef): JoinEdge = {
     require(a.table != b.table, s"self-join edge within table ${a.table}")
-    val ka = (a.table, a.column); val kb = (b.table, b.column)
-    if (Ordering[(String, String)].lteq(ka, kb)) new JoinEdge(a, b) else new JoinEdge(b, a)
+    if (ColumnRef.ordering.lteq(a, b)) new JoinEdge(a, b) else new JoinEdge(b, a)
   }
 }
 

@@ -1,6 +1,7 @@
 package repro.data
 
 import scala.util.Random
+import scala.util.hashing.MurmurHash3.{finalizeHash, mix, productSeed}
 
 import repro.core.{ColumnRef, ExampleQuery, NoiseLevel}
 
@@ -22,7 +23,11 @@ object QueryGen {
 
   /** Deterministic seed per (ground truth, level, replicate). */
   private def seedOf(gt: GroundTruth, level: NoiseLevel, replicate: Int, base: Long): Long =
-    scala.util.hashing.MurmurHash3.productHash((gt.name, level.name, replicate, base)).toLong
+    productHash((gt.name, level.name, replicate, base)).toLong
+
+  /** The deprecated `MurmurHash3.productHash`; `caseClassHash` would change every generated corpus and query. */
+  private[data] def productHash(p: Product): Int =
+    finalizeHash(p.productIterator.foldLeft(mix(productSeed, p.productPrefix.hashCode))((h, x) => mix(h, x.##)), p.productArity)
 
   /** Sample without replacement; small pools fall back to sampling with
     * replacement (duplicate example values are harmless — selection scores

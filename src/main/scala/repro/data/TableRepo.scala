@@ -62,7 +62,8 @@ final case class TableRepo(name: String, data: Vector[Table], groundTruths: Vect
     */
   lazy val encoded: TableRepo.Encoded = TableRepo.encode(data)
 
-  def columnRefs: Vector[ColumnRef] = data.sortBy(_.name).flatMap(t => t.columns.map(ColumnRef(t.name, _)))
+  /** Every column, in [[ColumnRef.ordering]]: the profile's id order. */
+  def columnRefs: Vector[ColumnRef] = data.flatMap(t => t.columns.map(ColumnRef(t.name, _))).sorted
 
   /** DataFrames of the rows in the active session, built on first use for
     * the DuckDB oracle and the benchmark only.

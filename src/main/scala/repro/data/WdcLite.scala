@@ -1,7 +1,6 @@
 package repro.data
 
 import scala.util.Random
-import scala.util.hashing.MurmurHash3
 
 import repro.core.{ColumnRef, JoinEdge, ViewSpec}
 
@@ -41,7 +40,7 @@ object WdcLite {
   def papers: Vector[String]    = (0 until NStates).map(i => f"Paper_$i%02d").toVector
 
   /** Which chain member a given city_papers table lists (deterministic mix). */
-  def member(tableK: Int, chain: Int): Int = MurmurHash3.productHash((tableK, chain)).abs % 2
+  def member(tableK: Int, chain: Int): Int = QueryGen.productHash((tableK, chain)).abs % 2
 
   def cpaperTok(era: String, chain: Int): String = f"CPaper_${era}_$chain%02d"
   def popTok(era: String, c: Int): String = f"Pop_${era}_$c%02d"

@@ -38,7 +38,7 @@ final class DiscoveryIndex(
   /** Alg. 4's overlap `|c ∩ examples|`: distinct normalized examples that
     * column `c` contains.
     */
-  def overlap(c: ColumnRef, examples: Seq[String]): Int = columns.search(c)(Profiles.columnOrder) match {
+  def overlap(c: ColumnRef, examples: Seq[String]): Int = columns.search(c) match {
     case Found(id) => examples.map(normalize).distinct.count(v => postings.get(v).exists(Arrays.binarySearch(_, id) >= 0))
     case _ => 0
   }
@@ -53,12 +53,11 @@ final class DiscoveryIndex(
   def containmentOf(a: ColumnRef, b: ColumnRef): Double =
     containment.getOrElse((a, b), containment.getOrElse((b, a), 0.0))
 
-  /** Join edges grouped by (sorted) table pair. */
+  /** Join edges grouped by (sorted) table pair, each pair's edges in column order. */
   lazy val edgesBetween: Map[(String, String), Vector[JoinEdge]] =
-    containment.keys.toVector
+    containment.keys.toVector.sorted
       .map { case (a, b) => JoinEdge(a, b) }
-      .groupBy(e => { val ts = e.tables.toVector.sorted; (ts(0), ts(1)) })
-      .map { case (k, es) => k -> es.distinct.sortBy(_.toString) }
+      .groupBy(e => (e.left.table, e.right.table))
       .withDefaultValue(Vector.empty)
 
   def joinEdges(t1: String, t2: String): Vector[JoinEdge] = {
@@ -86,7 +85,7 @@ final class DiscoveryIndex(
         for (e1 <- joinEdges(t1, x); e2 <- joinEdges(x, t2)) yield Set(e1, e2)
       }
 
-  /** Connected components of a column set under the NEIGHBORS relation —
+  /** Connected components of a column set under the NEIGHBORS relation, by least column:
     * the clustering step of COLUMN-SELECTION (Algorithm 4, line 5).
     */
   def connectedComponents(cols: Set[ColumnRef]): Vector[Set[ColumnRef]] = {
@@ -102,7 +101,7 @@ final class DiscoveryIndex(
       out += comp
       remaining --= comp
     }
-    out.result().sortBy(_.toVector.map(_.toString).sorted.mkString(","))
+    out.result().sortBy(_.min)
   }
 }
 

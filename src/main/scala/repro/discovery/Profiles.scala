@@ -31,21 +31,18 @@ object Profiles {
     */
   def normalize(value: String): String = value.toLowerCase(Locale.ROOT)
 
-  /** The order of column ids. */
-  val columnOrder: Ordering[ColumnRef] = Ordering.by(c => (c.table, c.column))
-
-  /** The pass's output: columns in [[columnOrder]] (id = position), each value's ascending ids, distinct counts. */
+  /** The pass's output: columns in [[ColumnRef.ordering]] (id = position), each value's ascending ids, distinct counts. */
   final case class Profile(columns: Vector[ColumnRef], postings: collection.Map[String, Array[Int]],
                            distinctCounts: Array[Int])
 
   def profile(repo: TableRepo): Profile =
     profile(repo.data.flatMap(t => t.columns.indices.map(i => ColumnRef(t.name, t.columns(i)) -> t.rows.view.map(_(i)))))
 
-  /** The one profiling pass. It visits columns in [[columnOrder]] and appends a column's id to a non-null
+  /** The one profiling pass. It visits columns in [[ColumnRef.ordering]] and appends a column's id to a non-null
     * cell's value list unless the list ends with it: lists stay ascending and count each value once.
     */
   def profile(cells: Iterable[(ColumnRef, Iterable[String])]): Profile = {
-    val sorted = cells.toVector.sortBy(_._1)(columnOrder)
+    val sorted = cells.toVector.sortBy(_._1)
     val lists = mutable.HashMap.empty[String, Array[Int]] // unboxed, doubling; slot 0 = length until trimmed
     val counts = new Array[Int](sorted.size)
     for (((_, vs), id) <- sorted.zipWithIndex; cell <- vs if cell != null) {
@@ -63,7 +60,7 @@ object Profiles {
   /** The one pair count: the containment score
     * `max(|a∩b|/|a|, |a∩b|/|b|)` of every pair of columns from different
     * tables that share a value and score at least `threshold`, keyed with
-    * `a.toString < b.toString` (the order [[columnPairs]] keeps).
+    * the lower id first: [[ColumnRef.ordering]], as [[repro.core.JoinEdge]] keeps its endpoints.
     *
     * It walks each column's values and, for each value, the columns in the
     * value's posting list, tallying shared values in one counter per
@@ -73,13 +70,6 @@ object Profiles {
   def containment(profile: Profile, threshold: Double): Map[(ColumnRef, ColumnRef), Double] = {
     val cols = profile.columns
     val n = cols.size
-    // Canonical order as ranks: columns whose keys are equal share a rank,
-    // so neither orders before the other and they never pair.
-    val keys = cols.map(_.toString)
-    val rankOf = keys.distinct.sorted.zipWithIndex.toMap
-    val rank = keys.map(rankOf).toArray
-    val tableOf = cols.map(_.table).distinct.zipWithIndex.toMap
-    val table = cols.map(c => tableOf(c.table)).toArray
     // Each column's posting lists that name another column.
     val builders = Array.fill(n)(Array.newBuilder[Array[Int]])
     for (p <- profile.postings.valuesIterator if p.length > 1; i <- p) builders(i) += p
@@ -88,7 +78,9 @@ object Profiles {
     val overlap = new Array[Int](n)
     val touched = new Array[Int](n)
     val out = Map.newBuilder[(ColumnRef, ColumnRef), Double]
+    var end = 0 // the first id past column i's table, whose columns are consecutive ids
     for (i <- 0 until n) {
+      while (end < n && cols(end).table == cols(i).table) end += 1
       var nTouched = 0
       // The Σ|P(v)|² loop, written with indices because it is the hot path.
       var x = 0
@@ -97,7 +89,7 @@ object Profiles {
         var y = 0
         while (y < p.length) {
           val j = p(y)
-          if (rank(j) > rank(i) && table(j) != table(i)) {
+          if (j >= end) {
             if (overlap(j) == 0) { touched(nTouched) = j; nTouched += 1 }
             overlap(j) += 1
           }
@@ -129,18 +121,16 @@ object Profiles {
 
   /** Reference for [[containment]]: all-pairs column overlap and Lazo-style maximum directional Jaccard
     * containment `max(|a∩b|/|a|, |a∩b|/|b|)`, one row per unordered pair of
-    * columns from *different* tables with overlap ≥ 1:
-    * `(tbl1, col1, tbl2, col2, overlap, containment)`.
+    * columns from *different* tables with overlap ≥ 1, `tbl1 < tbl2` by Spark's
+    * string compare: `(tbl1, col1, tbl2, col2, overlap, containment)`.
     */
   def columnPairs(cv: DataFrame): DataFrame = {
     val stats = columnStats(cv)
     val a = cv.select(col("tbl").as("tbl1"), col("col").as("col1"), col("value"))
     val b = cv.select(col("tbl").as("tbl2"), col("col").as("col2"), col("value"))
     val pairs = a.join(b, "value")
-      // canonical order keeps one row per unordered pair; same-table pairs
-      // are excluded because Ver never self-joins a table.
-      .where(col("tbl1") =!= col("tbl2") &&
-        concat_ws(".", col("tbl1"), col("col1")) < concat_ws(".", col("tbl2"), col("col2")))
+      // one row per unordered pair, and none within a table: Ver never self-joins one
+      .where(col("tbl1") < col("tbl2"))
       .groupBy("tbl1", "col1", "tbl2", "col2")
       .agg(count(lit(1)).as("overlap"))
     pairs

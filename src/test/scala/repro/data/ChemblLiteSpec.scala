@@ -1,7 +1,7 @@
 package repro.data
 
 import repro.SparkSpec
-import repro.core.ColumnRef
+import repro.core.{ColumnRef, NoiseLevel}
 
 class ChemblLiteSpec extends SparkSpec {
   private lazy val repo = ChemblLite(spark)
@@ -95,5 +95,17 @@ class ChemblLiteSpec extends SparkSpec {
   test("scale shrinks the tables") {
     val small = ChemblLite(spark, scale = 0.5)
     assert(small.rows("assays").size < repo.rows("assays").size)
+  }
+  test("generated queries are pinned: their seed hash has not changed") {
+    def examples(gt: Int, level: NoiseLevel, replicate: Int) =
+      QueryGen.generate(repo.groundTruths(gt), level, replicate, repo.values).query.columns
+    assert(examples(0, NoiseLevel.Zero, 0) == Vector(
+      Vector("cell_name_0033", "cell_name_0150", "cell_name_0138"), Vector("assay_type_F", "assay_type_B", "assay_type_A")))
+    assert(examples(1, NoiseLevel.Med, 0) == Vector(
+      Vector("protein_0139", "protein_0196", "synonym_0009"), Vector("assay_type_A", "assay_type_P", "assay_type_X")))
+    assert(examples(2, NoiseLevel.Med, 1) == Vector(
+      Vector("cell_name_0040", "cell_name_0145", "old_cell_0000"), Vector("organism_05", "organism_08", "org_extra_00")))
+    assert(examples(4, NoiseLevel.High, 2) == Vector(
+      Vector("drug_0115", "old_drug_0013", "old_drug_0012"), Vector("standard_type_1", "standard_type_X", "standard_type_X")))
   }
 }

@@ -3,7 +3,7 @@ package repro.data
 import repro.{Oracle, SparkSpec}
 import repro.core.{ColumnRef, JoinEdge, Materializer, NoiseLevel, Ver, ViewSpec}
 import repro.core.MaterializerSpec.sqlFor
-import repro.discovery.DiscoveryIndexBuilder
+import repro.discovery.{DiscoveryIndexBuilder, Profiles}
 
 /** The repo's driver rows, what reads them, and the DataFrame view built
   * from them for the DuckDB oracle.
@@ -36,6 +36,15 @@ class TableRepoSpec extends SparkSpec {
       val e = intercept[IllegalArgumentException](f())
       assert(e.getMessage.contains("repo nulls"), e.getMessage)
     }
+  }
+
+  test("columnRefs lists columns in the profile's id order") {
+    val r = TableRepo("declared", Vector(
+      Table("t", Seq("b", "a"), Seq(Seq("x", "y"))),
+      Table("s", Seq("c", "B"), Seq.empty),
+    ), Vector.empty)
+    assert(r.columnRefs == Vector(c("s", "B"), c("s", "c"), c("t", "a"), c("t", "b")))
+    for (repo <- Seq(r, ChemblLite(spark))) assert(repo.columnRefs == Profiles.profile(repo).columns, repo.name)
   }
 
   test("values is the sorted, distinct, non-null cells") {

@@ -20,6 +20,12 @@ class WdcLiteSpec extends AnyFunSuite {
   test("generation is deterministic") {
     assert(WdcLite() == repo)
   }
+  test("member is pinned: its hash has not changed") {
+    val grid = (1 to 8).map(k => (0 until 20).map(c => WdcLite.member(k, c)).mkString)
+    assert(grid == Seq("11010101000100000000", "01101010111001101101", "00111110111111111010",
+      "11100110110010111010", "11011000101011101010", "11100001001010110111",
+      "10101010100000101100", "10111101101110011100"))
+  }
 
   test("newspapers cover all states functionally (one paper per state)") {
     val rs = rows2("newspapers")

@@ -83,14 +83,24 @@ class DiscoveryIndexSpec extends SparkSpec {
     assert(again.containment == index.containment)
   }
 
-  test("containment keys order columns by their string form, not by (table, column)") {
-    // "t-x.k" < "t.k" because '-' < '.', while ("t", "k") < ("t-x", "k").
+  test("containment keys order columns by (table, column)") {
+    // ("t", "k") < ("t-x", "k"), while "t-x.k" < "t.k" because '-' < '.'.
     val r = TableRepo("key-order", Vector(
       Table("t", Seq("k"), Seq(Seq("a"), Seq("b"))),
       Table("t-x", Seq("k"), Seq(Seq("a"), Seq("b"), Seq("c"))),
     ), Vector.empty)
     val idx = DiscoveryIndexBuilder.build(spark, r, threshold = 0.8)
-    assert(idx.containment == Map((ColumnRef("t-x", "k"), ColumnRef("t", "k")) -> 1.0))
+    assert(idx.containment == Map((ColumnRef("t", "k"), ColumnRef("t-x", "k")) -> 1.0))
+    assert(idx.containment == SparkContainment(spark, r, 0.8))
+  }
+  test("tables a.b(c) and a(b.c) with equal values form one pair") {
+    // Table "a.b" column "c" and table "a" column "b.c" print alike.
+    val r = TableRepo("dotted", Vector(
+      Table("a.b", Seq("c"), Seq(Seq("x"), Seq("y"))),
+      Table("a", Seq("b.c"), Seq(Seq("x"), Seq("y"))),
+    ), Vector.empty)
+    val idx = DiscoveryIndexBuilder.build(spark, r, threshold = 0.8)
+    assert(idx.containment == Map((ColumnRef("a", "b.c"), ColumnRef("a.b", "c")) -> 1.0))
     assert(idx.containment == SparkContainment(spark, r, 0.8))
   }
   test("a 0-row table and an all-null column profile to 0 and form no pair") {
@@ -115,20 +125,22 @@ class DiscoveryIndexSpec extends SparkSpec {
   test("randomized: containment equals a driver reference, and keyword search agrees with overlap") {
     val alphabet = Vector("a", "A", "b", "B", "Ab", "aB", "c")
     val cell = Gen.frequency(6 -> Gen.oneOf(alphabet), 1 -> Gen.const(null: String))
+    // Names whose string forms order unlike (table, column): "a-b.c" < "a.b.c"
+    // while ("a", "b.c") < ("a-b", "c"), and "a.b"'s "c" prints as "a"'s "b.c".
     val tableGen = for {
-      nCols <- Gen.choose(2, 3)
+      cols <- Gen.oneOf(Vector("c"), Vector("b.c"), Vector("c", "b.c"), Vector("b.c", "c"))
       nRows <- Gen.choose(0, 5)
-      rows <- Gen.listOfN(nRows, Gen.listOfN(nCols, cell))
-    } yield (Vector.tabulate(nCols)(i => s"c$i"), rows)
+      rows <- Gen.listOfN(nRows, Gen.listOfN(cols.size, cell))
+    } yield (cols, rows)
     val caseGen = for {
-      nTables <- Gen.choose(2, 4)
+      names <- Gen.oneOf(Vector("a", "a.b", "a-b").permutations.toVector)
+      nTables <- Gen.choose(2, 3)
       tables <- Gen.listOfN(nTables, tableGen)
       threshold <- Gen.oneOf(0.0, 0.5, 0.8, 1.0)
-    } yield (tables.zipWithIndex.map { case ((cols, rows), i) =>
-      // Table t0 always holds one value, in two cases, in every column.
-      s"t$i" -> (cols, if (i == 0) rows :+ cols.indices.map(j => if (j % 2 == 0) "Dup" else "dUP").toList else rows)
+    } yield (tables.zip(names).zipWithIndex.map { case (((cols, rows), t), i) =>
+      // The first table always holds one value, in two cases, in every column.
+      t -> (cols, if (i == 0) rows :+ cols.indices.map(j => if (j % 2 == 0) "Dup" else "dUP").toList else rows)
     }.toMap, threshold)
-
     val prop = Prop.forAllNoShrink(caseGen) { case (tables, threshold) =>
       val repo = TableRepo("random", tables.toVector.map { case (t, (cols, rows)) => Table(t, cols, rows) },
         Vector.empty)
@@ -141,7 +153,7 @@ class DiscoveryIndexSpec extends SparkSpec {
       }.toMap
       val expected = (for {
         (a, va) <- sets; (b, vb) <- sets
-        if a.table != b.table && a.toString < b.toString
+        if a.table != b.table && ColumnRef.ordering.lt(a, b)
         ov = (va intersect vb).size
         if ov > 0
         score = math.max(ov.toDouble / va.size, ov.toDouble / vb.size)
