@@ -141,6 +141,7 @@ class DiscoveryIndexSpec extends SparkSpec {
       // The first table always holds one value, in two cases, in every column.
       t -> (cols, if (i == 0) rows :+ cols.indices.map(j => if (j % 2 == 0) "Dup" else "dUP").toList else rows)
     }.toMap, threshold)
+
     val prop = Prop.forAllNoShrink(caseGen) { case (tables, threshold) =>
       val repo = TableRepo("random", tables.toVector.map { case (t, (cols, rows)) => Table(t, cols, rows) },
         Vector.empty)
