@@ -6,8 +6,9 @@ import scala.sys.process._
 import scala.util.Try
 
 /** What the bench suites share: timing a call, and writing a
-  * `BENCH_*.json` stamped with the commit it measured at the repository
-  * root.
+  * `BENCH_*.json` stamped with the commit it measured under `target/` at
+  * the repository root. A run never touches the committed `BENCH_*.json`
+  * files; recording one means copying it from `target/` to the root.
   */
 object BenchFiles {
   def ms[A](f: => A): (A, Double) = {
@@ -25,6 +26,7 @@ object BenchFiles {
 
   def write(fileName: String, json: String): Unit = {
     val root = git("rev-parse", "--show-toplevel").getOrElse(sys.props("user.dir"))
-    Files.write(Paths.get(root, fileName), json.getBytes(StandardCharsets.UTF_8))
+    val dir = Files.createDirectories(Paths.get(root, "target"))
+    Files.write(dir.resolve(fileName), json.getBytes(StandardCharsets.UTF_8))
   }
 }

@@ -11,8 +11,7 @@ import repro.discovery.{DiscoveryIndexBuilder, Profiles, SparkContainment}
   * times, the whole build ([[DiscoveryIndexBuilder.build]]) three times and
   * the Spark self-join reference ([[SparkContainment]]) once, checks that
   * the pair counts, the builds and the reference give the same joinable
-  * pairs, and writes every timing to `BENCH_sweep.json` at the repository
-  * root.
+  * pairs, and writes every timing to `BENCH_sweep.json` ([[BenchFiles]]).
   *
   * The points grow tables (chembl-lite rows, opendata-lite fillers, which
   * add no joinable pairs) and join structure: the hot-value corpus is `n`

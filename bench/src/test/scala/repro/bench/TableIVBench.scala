@@ -15,7 +15,7 @@ import repro.exp.TableIV
   * Table IV is the MATERIALIZER's heaviest traffic (up to 100 views per
   * query), so the suite also times each query's materialization and
   * distillation, `Runs` times each, and writes the medians with the view
-  * and row counts to `BENCH_tableIV.json` at the repository root.
+  * and row counts to `BENCH_tableIV.json` ([[BenchFiles]]).
   */
 class TableIVBench extends SparkSpec {
   private val Runs = 3

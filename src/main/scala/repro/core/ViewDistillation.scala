@@ -14,6 +14,8 @@ object Rel {
 /** A labelled edge in the 4C graph G (Problem 3). `key` is the candidate
   * key the Complementary/Contradictory label is relative to (the paper's
   * note: a pair may be contradictory under k1 and complementary under k2).
+  * Contained points from the container; the other labels are undirected,
+  * stored lower id first. A pair has one edge per label and key.
   */
 final case class ViewEdge(a: String, b: String, rel: Rel, key: Option[String] = None)
 
@@ -54,6 +56,7 @@ final case class DistillReport(
   */
 final case class KeySignals(
     contradictions: Vector[Contradiction],
+    contradictory: Vector[(String, String)], // view ids, one edge per pair
     complementary: Vector[(String, String)], // view ids, one edge per pair
     afterUnion: Int,                         // block size once complementary views union
 )
@@ -72,7 +75,7 @@ object ViewDistillation {
 
   /** SCHEMA-BASED-BLOCKS (Alg. 3, line 2): group views by canonical schema. */
   def schemaBlocks(views: Seq[MatView]): Vector[Vector[MatView]] =
-    views.groupBy(_.schema).toVector.sortBy(_._1.mkString(","))
+    views.groupBy(_.schema).toVector.sortBy(_._1)(MatView.rowOrdering)
       .map(_._2.toVector.sortBy(_.id))
 
   /** C1: collapse groups of row-set-equal views to one representative. */
@@ -102,7 +105,8 @@ object ViewDistillation {
   /** Phase 2 under one candidate key: the inverted index key value → row →
     * views over the views of `block` keyed by `key` (Definition 9's
     * `K(V1) = K(V2)` requirement) yields
-    *  - contradictions: key values that map to two or more rows;
+    *  - contradictions: key values that map to two or more rows, sides in
+    *    [[MatView.rowOrdering]]; the contradictory pairs across sides, ids in `block` order;
     *  - complementary pairs (Definition 8, with phase 2's override): views
     *    sharing some but not all of either's rows, and never on opposite
     *    sides of a contradiction; ids in `block` order;
@@ -136,8 +140,9 @@ object ViewDistillation {
       contradictions = index.toVector.collect {
         case (kv, groups) if groups.size >= 2 =>
           Contradiction(key, kv,
-            groups.toVector.sortBy(_._1.mkString(" ")).map(_._2.map(keyed(_).id).toSet))
+            groups.toVector.sortBy(_._1)(MatView.rowOrdering).map(_._2.map(keyed(_).id).toSet))
       }.sortBy(_.keyValue),
+      contradictory = opposed.toVector.sorted.map { case (i, j) => (keyed(i).id, keyed(j).id) },
       complementary = pairs.map { case (i, j) => (keyed(i).id, keyed(j).id) },
       afterUnion = block.size - keyed.size + keyed.indices.count(i => find(i) == i))
   }
@@ -167,12 +172,7 @@ object ViewDistillation {
       val counts = for (k <- keys) yield {
         val s = keySignals(c2, k)
         contradictions ++= s.contradictions
-        edges ++= s.contradictions.flatMap { c =>
-          for {
-            i <- c.sides.indices; j <- i + 1 until c.sides.size
-            a <- c.sides(i).toVector.sorted; b <- c.sides(j).toVector.sorted
-          } yield ViewEdge(a, b, Rel.Contradictory, Some(k))
-        }
+        edges ++= s.contradictory.map { case (a, b) => ViewEdge(a, b, Rel.Contradictory, Some(k)) }
         edges ++= s.complementary.map { case (a, b) => ViewEdge(a, b, Rel.Complementary, Some(k)) }
         s.afterUnion
       }
@@ -180,6 +180,6 @@ object ViewDistillation {
       worst += counts.maxOption.getOrElse(c2.size); best += counts.minOption.getOrElse(c2.size)
     }
     DistillReport(views.size, afterC1, afterC2, worst, best,
-      edges.result().distinct, distilled.result(), contradictions.result().distinct)
+      edges.result(), distilled.result(), contradictions.result())
   }
 }

@@ -50,9 +50,8 @@ final case class SimUser(name: String, answerProb: Map[Interface, Double], patie
         // options: yes = views WITH the attribute survive.
         val attr = q.label
         Some(if (target.schema.contains(attr)) 0 else 1)
-      case Interface.SummaryQ =>
-        val schema = q.label.split('|').toVector
-        Some(if (target.schema == schema) 0 else 1)
+      case Interface.SummaryQ => // option 1, irrelevant, prunes the asked schema's block
+        Some(if (views(q.options(1).prune.head).schema == target.schema) 0 else 1)
       case Interface.PairQ =>
         // Options are sides of a contradiction (or a top-2 pick): the
         // truthful choice is the unique option that does NOT prune a view

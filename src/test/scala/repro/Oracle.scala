@@ -1,6 +1,7 @@
 package repro
 
 import java.sql.DriverManager
+import repro.core.Materializer
 import org.apache.spark.sql.{DataFrame, Row}
 import scala.jdk.CollectionConverters._
 
@@ -23,7 +24,7 @@ object Oracle {
     rows
       .map(r => idx.map { i =>
         r.get(i) match {
-          case null                 => "∅"
+          case null                 => Materializer.NullCell
           case d: Double            => f"$d%.6f"
           case f: Float             => f"${f.toDouble}%.6f"
           case bd: java.math.BigDecimal => f"${bd.doubleValue}%.6f"

@@ -2,14 +2,39 @@ package repro.core
 
 import scala.collection.mutable
 
-/** Reference VIEW-DISTILLATION phase 2: the pairwise implementation that
-  * `ViewDistillation.keySignals` replaced. Contradictions come from an
-  * inverted index, complementary pairs from comparing every pair of keyed
-  * views (re-grouping both views' rows per pair), and C3 re-runs the pair
-  * comparison for every key. C1 and C2 are the production functions.
-  * Slow but simple; tests compare `ViewDistillation.distill` against it.
+/** Reference VIEW-DISTILLATION: pairwise and set-based. C1 and C2 compare
+  * every pair of views' row sets. In phase 2 contradictions come from an
+  * inverted index, contradictory and complementary pairs from comparing
+  * every pair of keyed views (re-grouping both views' rows per pair), and C3
+  * re-runs the pair comparison for every key. Slow but simple; tests compare
+  * `ViewDistillation.distill` against it.
   */
 object DistillReference {
+
+  /** C1: a view is kept unless a view of lower id has its row set; the
+    * Compatible edge comes from the lowest such id.
+    */
+  def dedupCompatible(block: Vector[MatView]): (Vector[MatView], Vector[ViewEdge]) = {
+    val edges = for {
+      v <- block
+      first = block.filter(_.rowSet == v.rowSet).minBy(_.id) if first.id != v.id
+    } yield ViewEdge(first.id, v.id, Rel.Compatible)
+    (block.filterNot(v => edges.exists(_.b == v.id)).sortBy(_.id), edges.sortBy(e => (e.a, e.b)))
+  }
+
+  /** C2 on a block without compatible views: a view is dropped when a larger
+    * view contains its rows. The Contained edge comes from the first such
+    * view by (−size, id), which is the largest, so no view contains it;
+    * edges follow the dropped views in the same order.
+    */
+  def keepLargestContained(block: Vector[MatView]): (Vector[MatView], Vector[ViewEdge]) = {
+    val bySize = block.sortBy(v => (-v.size, v.id))
+    val edges = for {
+      v <- bySize
+      w <- bySize.find(w => w.size > v.size && v.rowSet.subsetOf(w.rowSet))
+    } yield ViewEdge(w.id, v.id, Rel.Contained)
+    (block.filterNot(v => edges.exists(_.b == v.id)).sortBy(_.id), edges)
+  }
 
   def contradictionsFor(block: Vector[MatView], key: String): Vector[Contradiction] = {
     val keyed = block.filter(_.candidateKeys.contains(key))
@@ -23,7 +48,7 @@ object DistillReference {
     }
     index.toVector.collect {
       case (kv, groups) if groups.size >= 2 =>
-        Contradiction(key, kv, groups.toVector.sortBy(_._1.mkString(" ")).map(_._2.toSet))
+        Contradiction(key, kv, groups.toVector.sortBy(_._1)(MatView.rowOrdering).map(_._2.toSet))
     }.sortBy(c => (c.key, c.keyValue))
   }
 
@@ -36,19 +61,26 @@ object DistillReference {
     (m1.keySet intersect m2.keySet).exists(kv => m1(kv) != m2(kv))
   }
 
+  /** Every pair of views keyed by `key`, lower id first, in id order. */
+  private def keyedPairs(block: Vector[MatView], key: String): Vector[(MatView, MatView)] = {
+    val keyed = block.filter(_.candidateKeys.contains(key)).sortBy(_.id)
+    for (i <- keyed.indices.toVector; j <- (i + 1 until keyed.size).toVector) yield (keyed(i), keyed(j))
+  }
+
+  /** Contradictory pairs under `key`: keyed views that [[contradicts]]. */
+  def contradictoryPairs(block: Vector[MatView], key: String): Vector[(MatView, MatView)] =
+    keyedPairs(block, key).filter { case (v1, v2) => contradicts(v1, v2, key) }
+
   /** Complementary pairs under `key`: overlap, no containment, and no
     * contradiction under the same key.
     */
-  def complementaryPairs(block: Vector[MatView], key: String): Vector[(MatView, MatView)] = {
-    val keyed = block.filter(_.candidateKeys.contains(key)).sortBy(_.id)
+  def complementaryPairs(block: Vector[MatView], key: String): Vector[(MatView, MatView)] =
     for {
-      i <- keyed.indices.toVector; j <- (i + 1 until keyed.size).toVector
-      v1 = keyed(i); v2 = keyed(j)
+      (v1, v2) <- keyedPairs(block, key)
       if (v1.rowSet intersect v2.rowSet).nonEmpty
       if !v1.rowSet.subsetOf(v2.rowSet) && !v2.rowSet.subsetOf(v1.rowSet)
       if !contradicts(v1, v2, key)
     } yield (v1, v2)
-  }
 
   /** Views left in `block` after unioning complementary views under `key`. */
   def countAfterUnion(block: Vector[MatView], key: String): Int = {
@@ -79,10 +111,10 @@ object DistillReference {
     val distilled = Vector.newBuilder[MatView]
     val contradictions = Vector.newBuilder[Contradiction]
     for (block <- blocks) {
-      val (c1, compatEdges) = ViewDistillation.dedupCompatible(block)
+      val (c1, compatEdges) = dedupCompatible(block)
       edges ++= compatEdges
       afterC1 += c1.size
-      val (c2, containEdges) = ViewDistillation.keepLargestContained(c1)
+      val (c2, containEdges) = keepLargestContained(c1)
       edges ++= containEdges
       afterC2 += c2.size
       distilled ++= c2
@@ -90,11 +122,8 @@ object DistillReference {
       for (k <- keys) {
         val cs = contradictionsFor(c2, k)
         contradictions ++= cs
-        edges ++= cs.flatMap { c =>
-          for {
-            i <- c.sides.indices; j <- i + 1 until c.sides.size
-            a <- c.sides(i).toVector.sorted; b <- c.sides(j).toVector.sorted
-          } yield ViewEdge(a, b, Rel.Contradictory, Some(k))
+        edges ++= contradictoryPairs(c2, k).map { case (a, b) =>
+          ViewEdge(a.id, b.id, Rel.Contradictory, Some(k))
         }
         edges ++= complementaryPairs(c2, k).map { case (a, b) =>
           ViewEdge(a.id, b.id, Rel.Complementary, Some(k))
@@ -104,6 +133,6 @@ object DistillReference {
       worst += w; best += b
     }
     DistillReport(views.size, afterC1, afterC2, worst, best,
-      edges.result().distinct, distilled.result(), contradictions.result().distinct)
+      edges.result(), distilled.result(), contradictions.result())
   }
 }

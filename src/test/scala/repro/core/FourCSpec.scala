@@ -93,6 +93,15 @@ class FourCSpec extends AnyFunSuite {
   test("contradicts: same key value, different rows (Definition 9)") {
     val s = signals(mv("a", kv, "1" -> "x"), mv("b", kv, "1" -> "y"))
     assert(s.contradictions == Vector(Contradiction("k", "1", Vector(Set("a"), Set("b")))))
+    assert(s.contradictory == Vector(("a", "b")))
+  }
+  test("a pair that contradicts at two key values gets one Contradictory edge") {
+    // Under k = 1 a's row sorts first and under k = 2 b's does: the sides
+    // swap, the edge does not.
+    val r = ViewDistillation.distill(Vector(
+      mv("a", kv, "1" -> "x", "2" -> "z"), mv("b", kv, "1" -> "y", "2" -> "w")))
+    assert(r.contradictions.map(_.sides) == Vector(Vector(Set("a"), Set("b")), Vector(Set("b"), Set("a"))))
+    assert(r.edges == Vector(ViewEdge("a", "b", Rel.Contradictory, Some("k"))))
   }
   test("no contradiction when shared key values agree") {
     val s = signals(mv("a", kv, "1" -> "x", "2" -> "y"), mv("b", kv, "1" -> "x", "3" -> "z"))
@@ -210,8 +219,9 @@ class FourCSpec extends AnyFunSuite {
 
   // ---- one pass per key vs the pairwise reference ------------------------
   private val schemas = Vector(Vector("k", "v"), Vector("k", "v", "w"), Vector("a", "k", "w"))
-  // "a b" / "c" and "a" / "b c" render alike under mkString(" "): rows of a
-  // 3-column view can tie in the contradiction sides' sort order.
+  // "a b" / "c" and "a" / "b c" render alike under mkString(" "), so a sort
+  // key that joins a row's cells would tie such rows; the contradiction
+  // sides' order, MatView.rowOrdering, must not.
   private val cells = Vector("a", "c", "a b", "b c", "x")
 
   /** The row's words regrouped into as many cells, so it renders alike. */
@@ -257,15 +267,18 @@ class FourCSpec extends AnyFunSuite {
       if (r.contradictions.nonEmpty) withContradictions += 1
       // Phase 2 of distill sees no containment (C2 removed it), so also
       // compare each key's signals on the raw blocks.
+      def ids(ps: Vector[(MatView, MatView)]) = ps.map { case (a, b) => (a.id, b.id) }
       val raw = ViewDistillation.schemaBlocks(vs).forall { block =>
         block.flatMap(_.candidateKeys).distinct.forall { k =>
           ViewDistillation.keySignals(block, k) == KeySignals(
             DistillReference.contradictionsFor(block, k),
-            DistillReference.complementaryPairs(block, k).map { case (a, b) => (a.id, b.id) },
+            ids(DistillReference.contradictoryPairs(block, k)),
+            ids(DistillReference.complementaryPairs(block, k)),
             DistillReference.countAfterUnion(block, k))
         }
       }
-      r == DistillReference.distill(vs) && raw
+      r == DistillReference.distill(vs) && raw &&
+        r.edges.distinct == r.edges && r.contradictions.distinct == r.contradictions
     }
     val res = SCTest.check(SCTest.Parameters.default.withMinSuccessfulTests(2000), prop)
     assert(res.passed, res.status.toString)

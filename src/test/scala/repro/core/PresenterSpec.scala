@@ -103,6 +103,18 @@ class PresenterSpec extends AnyFunSuite {
     assert(u.answer(q, views(0), byId, new Random(1)).contains(0))
     assert(u.answer(q, views(4), byId, new Random(1)).contains(1))
   }
+  test("SimUser summary answers hold for column names that contain |") {
+    // The label of schema (k|v, w) reads "k|v|w", as (k, v, w) would.
+    val piped = Vector(
+      mv("p1", ("k|v", "w"), "1" -> "x"), mv("p2", ("k|v", "w"), "2" -> "y"),
+      mv("q1", ("a", "b"), "1" -> "x"), mv("q2", ("a", "b"), "3" -> "z"))
+    val r = ViewDistillation.distill(piped)
+    val p = new Presenter(r.distilled, r, Map.empty)
+    val q = p.questions(p.initial).find(_.iface == Interface.SummaryQ).get
+    val byId = piped.map(v => v.id -> v).toMap
+    val answer = SimUser("u", alwaysAnswer, 3, 1).answer(q, piped(0), byId, new Random(1))
+    assert(q.label == "k|v|w" && answer.contains(0) && !q.options(0).prune.contains("p1"))
+  }
   test("SimUser pair answers pick the side not pruning the target") {
     val u = SimUser("u", alwaysAnswer, 3, 1)
     val byId = views.map(v => v.id -> v).toMap
@@ -140,8 +152,9 @@ class PresenterSpec extends AnyFunSuite {
   }
 
   // ---- properties on random distilled view sets ----------------------------
-  /** 4–30 random views over (k,v), (k,w), (a,b) and (k,v,w) — (a,b) has the
-    * arity of (k,v) under other names — with keys 0–5 and cells x/y/z, so
+  /** 4–30 random views over (k,v), (k,w), (a,b), (k,v,w) and (k|v,w) — (a,b)
+    * has the arity of (k,v) under other names, and the SummaryQ label of
+    * (k|v,w) reads as (k,v,w)'s — with keys 0–5 and cells x/y/z, so
     * key values collide into contradictions. The target is one of the raw
     * views, which C1/C2 may have dropped for a representative; users answer
     * each interface with probability 0, 0.3, 0.7 or 1.
@@ -149,7 +162,8 @@ class PresenterSpec extends AnyFunSuite {
   private val caseGen = for {
     n <- Gen.choose(4, 30)
     raw <- Gen.listOfN(n, for {
-      schema <- Gen.oneOf(Vector("k", "v"), Vector("k", "w"), Vector("a", "b"), Vector("k", "v", "w"))
+      schema <- Gen.oneOf(Vector("k", "v"), Vector("k", "w"), Vector("a", "b"), Vector("k", "v", "w"),
+        Vector("k|v", "w"))
       rows <- Gen.choose(1, 5).flatMap(Gen.listOfN(_, Gen.sequence[Vector[String], String](
         Gen.choose(0, 5).map(_.toString) +: schema.tail.map(_ => Gen.oneOf("x", "y", "z")))))
     } yield (schema, rows))
