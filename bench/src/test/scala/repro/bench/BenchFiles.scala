@@ -1,7 +1,7 @@
 package repro.bench
 
 import java.nio.charset.StandardCharsets
-import java.nio.file.{Files, Paths}
+import java.nio.file.{Files, Path, Paths}
 import scala.sys.process._
 import scala.util.Try
 
@@ -24,9 +24,17 @@ object BenchFiles {
   def sha: String = git("rev-parse", "HEAD").getOrElse("unknown") +
     (if (git("status", "--porcelain", "--untracked-files=no").isDefined) "-dirty" else "")
 
+  /** The first directory at or above `from` that holds `build.sbt`: the
+    * repository root, also from the bench project's directory, which sbt's
+    * forked test JVM runs in, and in a checkout without `.git`.
+    */
+  def repoRoot(from: Path): Path =
+    Iterator.iterate(from.toAbsolutePath)(_.getParent).takeWhile(_ != null)
+      .find(d => Files.isRegularFile(d.resolve("build.sbt")))
+      .getOrElse(throw new IllegalStateException(s"no build.sbt at or above $from"))
+
   def write(fileName: String, json: String): Unit = {
-    val root = git("rev-parse", "--show-toplevel").getOrElse(sys.props("user.dir"))
-    val dir = Files.createDirectories(Paths.get(root, "target"))
+    val dir = Files.createDirectories(repoRoot(Paths.get(sys.props("user.dir"))).resolve("target"))
     Files.write(dir.resolve(fileName), json.getBytes(StandardCharsets.UTF_8))
   }
 }

@@ -24,16 +24,8 @@ final case class ViewEdge(a: String, b: String, rel: Rel, key: Option[String] = 
   */
 final case class Contradiction(key: String, keyValue: String, sides: Vector[Set[String]]) {
   require(sides.size >= 2, "a contradiction needs at least two row-groups")
-  def views: Set[String] = sides.flatten.toSet
   /** Degree of discrimination (§VI-B-3): views agreeing with one side. */
   def discrimination: Int = sides.map(_.size).max
-  /** The contradiction restricted to surviving views; None once fewer than
-    * two sides remain (the signal can no longer discriminate).
-    */
-  def restrictTo(live: Set[String]): Option[Contradiction] = {
-    val kept = sides.map(_.intersect(live)).filter(_.nonEmpty)
-    if (kept.size >= 2) Some(copy(sides = kept)) else None
-  }
 }
 
 /** Result of the distillation pipeline for one candidate-view collection:

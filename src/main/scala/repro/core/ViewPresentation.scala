@@ -1,6 +1,7 @@
 package repro.core
 
 import scala.annotation.tailrec
+import scala.collection.mutable
 import scala.util.Random
 
 /** A question interface (§IV Question Interface): each is an arm of the
@@ -56,9 +57,10 @@ final case class SimUser(name: String, answerProb: Map[Interface, Double], patie
         // Options are sides of a contradiction (or a top-2 pick): the
         // truthful choice is the unique option that does NOT prune a view
         // satisfying the target. A user whose target is uninvolved has no
-        // basis to answer and skips.
-        val pruningTarget = q.options.indices.filter(i => q.options(i).prune.exists(satisfies))
-        val safe = q.options.indices.filterNot(pruningTarget.contains)
+        // basis to answer and skips. Options overlap, so each pruned view
+        // is tested once.
+        val hits = q.options.flatMap(_.prune).distinct.filter(satisfies).toSet
+        val (pruningTarget, safe) = q.options.indices.partition(i => q.options(i).prune.exists(hits))
         if (pruningTarget.nonEmpty && safe.size == 1) Some(safe.head) else None
     }
   }
@@ -84,12 +86,84 @@ final class Presenter(views: Vector[MatView], report: DistillReport, initialScor
   val initial: State = State(views.map(v => v.id -> initialScores.getOrElse(v.id, 0.0)).toMap,
     Interface.all.map(_ -> 0).toMap, Interface.all.map(_ -> 0).toMap, Set.empty, 0, 0)
 
+  // Views numbered once per presenter: bit i of a view set stands for
+  // ids(i), in any order, since no choice depends on it. Every set a
+  // question splits the live views by is a bitset here, built on the first
+  // call to `questions`, so a round intersects them with its live set and
+  // counts bits.
+  private lazy val ids: Array[String] = byId.keys.toArray
+  private lazy val number: Map[String, Int] = ids.iterator.zipWithIndex.toMap
+  private lazy val words = (ids.length + 63) >>> 6
+  /** Sets the bits of `members` in `b` from word `from`; ids of other
+    * views are left out.
+    */
+  private def setBits(members: Iterable[String], b: Array[Long], from: Int): Array[Long] = {
+    members.foreach { id =>
+      val i = number.getOrElse(id, -1)
+      if (i >= 0) b(from + (i >>> 6)) |= 1L << i
+    }
+    b
+  }
+  /** Each attribute with the views that have it. */
+  private lazy val attributes: Vector[(String, Array[Long])] = {
+    val has = mutable.HashMap.empty[String, Array[Long]]
+    for (i <- ids.indices; a <- byId(ids(i)).schema) has.getOrElseUpdate(a, new Array(words))(i >>> 6) |= 1L << i
+    has.toVector
+  }
+  /** Each schema block's SummaryQ label and views, in schema order. */
+  private lazy val blocks: Vector[(String, Array[Long])] = {
+    val block = mutable.HashMap.empty[Vector[String], Array[Long]]
+    for (i <- ids.indices) block.getOrElseUpdate(byId(ids(i)).schema, new Array(words))(i >>> 6) |= 1L << i
+    block.toVector.sortBy(_._1)(MatView.rowOrdering).map { case (schema, b) => schema.mkString("|") -> b }
+  }
+  // The sides of contradiction c, in report order, are bitsets
+  // firstSide(c) until firstSide(c + 1) of sideBits, each `words` long.
+  private lazy val firstSide: Array[Int] = report.contradictions.scanLeft(0)(_ + _.sides.size).toArray
+  private lazy val sideBits: Array[Long] = {
+    val b = new Array[Long](firstSide.last * words)
+    var side = 0
+    for (c <- report.contradictions; members <- c.sides) { setBits(members, b, side * words); side += 1 }
+    b
+  }
+
+  private def decode(b: Array[Long]): Set[String] = {
+    val out = Set.newBuilder[String]
+    var w = 0
+    while (w < words) {
+      var x = b(w)
+      while (x != 0) { out += ids((w << 6) + java.lang.Long.numberOfTrailingZeros(x)); x &= x - 1 }
+      w += 1
+    }
+    out.result()
+  }
+
   /** Each interface's best question not shown yet, in [[Interface.all]]
-    * order; an interface with nothing left to ask has none.
+    * order; an interface with nothing left to ask has none. AttributeQ and
+    * SummaryQ ask the split whose larger side is largest, ties to the
+    * greater label, then (SummaryQ, whose labels can collide) to the first
+    * block in schema order; PairQ asks the live contradiction with the
+    * largest agreeing side, ties to the greater (key, key value), then to
+    * the first in report order.
     */
   def questions(state: State): Vector[Question] = {
-    val s = state.live
+    val live = setBits(state.utility.keys, new Array(words), 0)
+    val n = countAnd(live, 0, live)
     def shown(i: Interface, label: String): Boolean = state.shown((i, label))
+    // The labelled set whose split of the live views has the largest larger
+    // side; `keep` prunes the live views outside it, `drop` those inside.
+    def split(i: Interface, sets: Vector[(String, Array[Long])], keep: String, drop: String): Option[Question] = {
+      var best: (String, Array[Long]) = null
+      var bestSide = 0
+      for (set @ (label, members) <- sets) {
+        val k = countAnd(members, 0, live)
+        val side = math.max(k, n - k)
+        if (k > 0 && k < n && (best == null || side > bestSide || side == bestSide && label > best._1) &&
+            !shown(i, label)) { best = set; bestSide = side }
+      }
+      Option(best).map { case (label, members) =>
+        Question(i, label, Vector(QOption(keep, decode(andNot(live, members))), QOption(drop, decode(and(live, members)))))
+      }
+    }
     Interface.all.flatMap {
       case Interface.DatasetQ =>
         state.ranking.find(!shown(Interface.DatasetQ, _)).map { id =>
@@ -97,38 +171,44 @@ final class Presenter(views: Vector[MatView], report: DistillReport, initialScor
             QOption("yes", Set.empty, accepts = Some(id)),
             QOption("no", Set(id))))
         }
-      case Interface.AttributeQ =>
-        // The split whose larger side is largest.
-        val attrs = s.toVector.flatMap(id => byId(id).schema).distinct
-          .filterNot(shown(Interface.AttributeQ, _))
-        val splits = attrs.map { a =>
-          val withA = s.filter(id => byId(id).schema.contains(a))
-          (a, withA, s -- withA)
-        }.filter { case (_, w, wo) => w.nonEmpty && wo.nonEmpty }
-        if (splits.isEmpty) None
-        else {
-          val (a, withA, withoutA) = splits.maxBy { case (a0, w, wo) => (math.max(w.size, wo.size), a0) }
-          Some(Question(Interface.AttributeQ, a, Vector(
-            QOption("include", withoutA), QOption("exclude", withA))))
-        }
-      case Interface.SummaryQ =>
-        val fresh = s.groupBy(id => byId(id).schema)
-          .filter { case (schema, block) => block.size < s.size && !shown(Interface.SummaryQ, schema.mkString("|")) }
-        if (fresh.isEmpty) None
-        else {
-          val (schema, block) = fresh.maxBy { case (sc, b) => (math.max(b.size, s.size - b.size), sc.mkString("|")) }
-          Some(Question(Interface.SummaryQ, schema.mkString("|"), Vector(
-            QOption("relevant", s -- block), QOption("irrelevant", block))))
-        }
+      case Interface.AttributeQ => split(Interface.AttributeQ, attributes, "include", "exclude")
+      case Interface.SummaryQ   => split(Interface.SummaryQ, blocks, "relevant", "irrelevant")
       case Interface.PairQ =>
-        val cs = report.contradictions.flatMap(_.restrictTo(s))
-          .filter(c => !shown(Interface.PairQ, s"${c.key}=${c.keyValue}"))
-        if (cs.nonEmpty) {
-          val c = cs.maxBy(c0 => (c0.discrimination, c0.key, c0.keyValue))
-          val opts = c.sides.zipWithIndex.map { case (side, i) =>
-            QOption(s"side$i", c.views -- side, accepts = Some(side.toVector.min))
+        // Each contradiction's largest live side, or 0 with fewer than two
+        // live sides; the best not shown is the best overall once shown
+        // ones are dropped, so only winners' labels are built.
+        val cs = report.contradictions
+        val disc = new Array[Int](cs.size)
+        for (c <- cs.indices) {
+          var kept = 0
+          var side = firstSide(c)
+          while (side < firstSide(c + 1)) {
+            val k = countAnd(sideBits, side * words, live)
+            if (k > 0) kept += 1
+            if (k > disc(c)) disc(c) = k
+            side += 1
           }
-          Some(Question(Interface.PairQ, s"${c.key}=${c.keyValue}", opts))
+          if (kept < 2) disc(c) = 0
+        }
+        def strongest: Int = {
+          var best = -1
+          for (c <- cs.indices if disc(c) > 0)
+            if (best < 0 || disc(c) > disc(best) || disc(c) == disc(best) && {
+                  val byKey = cs(c).key.compareTo(cs(best).key)
+                  byKey > 0 || byKey == 0 && cs(c).keyValue.compareTo(cs(best).keyValue) > 0
+                }) best = c
+          best
+        }
+        var best = strongest
+        while (best >= 0 && shown(Interface.PairQ, pairLabel(cs(best)))) { disc(best) = 0; best = strongest }
+        if (best >= 0) {
+          val kept = Vector.range(firstSide(best), firstSide(best + 1))
+            .map(side => Array.tabulate(words)(w => sideBits(side * words + w) & live(w)))
+            .filter(side => countAnd(side, 0, side) > 0)
+          val all = kept.reduce((a, b) => Array.tabulate(words)(w => a(w) | b(w)))
+          Some(Question(Interface.PairQ, pairLabel(cs(best)), kept.zipWithIndex.map { case (side, i) =>
+            QOption(s"side$i", decode(andNot(all, side)), accepts = Some(decode(side).min))
+          }))
         } else {
           // Fallback: pick between the two top-ranked views.
           val top = state.ranking.take(2)
@@ -238,6 +318,19 @@ object Presenter {
         }
     }
   }
+
+  private def pairLabel(c: Contradiction): String = s"${c.key}=${c.keyValue}"
+
+  // Word operations on a presenter's view bitsets: `a` from word `from`
+  // against all of `b`.
+  private def countAnd(a: Array[Long], from: Int, b: Array[Long]): Int = {
+    var n = 0
+    var w = 0
+    while (w < b.length) { n += java.lang.Long.bitCount(a(from + w) & b(w)); w += 1 }
+    n
+  }
+  private def and(a: Array[Long], b: Array[Long]): Array[Long] = Array.tabulate(a.length)(w => a(w) & b(w))
+  private def andNot(a: Array[Long], b: Array[Long]): Array[Long] = Array.tabulate(a.length)(w => a(w) & ~b(w))
 
   /** Index of the first arm whose cumulative probability exceeds `u`, for
     * `u` drawn uniformly from [0, Σ probs); the last arm when rounding

@@ -128,8 +128,8 @@ class FourCSpec extends AnyFunSuite {
   }
   test("restrictTo drops resolved contradictions") {
     val c = Contradiction("k", "1", Vector(Set("a"), Set("b")))
-    assert(c.restrictTo(Set("a", "b")).nonEmpty)
-    assert(c.restrictTo(Set("a")).isEmpty)
+    assert(QuestionsReference.restrictTo(c, Set("a", "b")).nonEmpty)
+    assert(QuestionsReference.restrictTo(c, Set("a")).isEmpty)
   }
 
   // ---- complementary / C3 --------------------------------------------------

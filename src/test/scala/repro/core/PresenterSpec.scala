@@ -7,7 +7,8 @@ import scala.util.Random
 /** Unit tests for VIEW-PRESENTATION (Algorithm 2): question construction,
   * truthful answering, bandit behaviour, convergence and give-up; plus
   * properties of `questions`, `probabilities` and `step` on random
-  * distilled view sets.
+  * distilled view sets, and of `questions` against its set-based
+  * reference.
   */
 class PresenterSpec extends AnyFunSuite {
 
@@ -114,6 +115,23 @@ class PresenterSpec extends AnyFunSuite {
     val byId = piped.map(v => v.id -> v).toMap
     val answer = SimUser("u", alwaysAnswer, 3, 1).answer(q, piped(0), byId, new Random(1))
     assert(q.label == "k|v|w" && answer.contains(0) && !q.options(0).prune.contains("p1"))
+  }
+  test("SummaryQ picks between schemas with one label by schema order, whatever the order of the views") {
+    // (k|v, w) and (k, v, w) both read "k|v|w", and their splits tie.
+    val piped = Vector(
+      mv("p1", ("k|v", "w"), "1" -> "x"), mv("p2", ("k|v", "w"), "2" -> "y"),
+      MatView.fromRows("q1", ViewSpec.singleTable(Vector("k", "v", "w").map(ColumnRef("t", _))),
+        Vector("k", "v", "w"), Seq(Seq("1", "x", "y"))),
+      MatView.fromRows("q2", ViewSpec.singleTable(Vector("k", "v", "w").map(ColumnRef("t", _))),
+        Vector("k", "v", "w"), Seq(Seq("2", "y", "z"))))
+    val r = ViewDistillation.distill(piped)
+    def summary(vs: Vector[MatView]) = {
+      val p = new Presenter(vs, r, Map.empty)
+      p.questions(p.initial).find(_.iface == Interface.SummaryQ).get
+    }
+    val q = summary(piped)
+    assert(q.label == "k|v|w" && q.options(1).prune == Set("q1", "q2"))
+    assert(summary(piped.reverse) == q)
   }
   test("SimUser pair answers pick the side not pruning the target") {
     val u = SimUser("u", alwaysAnswer, 3, 1)
@@ -232,6 +250,26 @@ class PresenterSpec extends AnyFunSuite {
     val res = SCTest.check(SCTest.Parameters.default.withMinSuccessfulTests(300), prop)
     assert(res.passed, res.status.toString)
     assert(postBootstrap > 300, s"vacuous: $postBootstrap post-bootstrap states")
+  }
+
+  test("questions equal the set-based reference at every state of a session, in both view orders") {
+    var states = 0; var contradictionStates = 0; var bad = 0
+    val prop = Prop.forAllNoShrink(caseGen) { case (raw, target, scores, probs, seed) =>
+      val r = ViewDistillation.distill(raw)
+      val byId = r.distilled.map(v => v.id -> v).toMap
+      for (views <- Seq(r.distilled, r.distilled.reverse)) {
+        val reference = QuestionsReference(views, r) _
+        walk(new Presenter(views, r, scores), SimUser("u", probs, 3, seed), target, byId) { (s, qs, _) =>
+          states += 1
+          if (qs.exists(q => q.iface == Interface.PairQ && !q.label.contains(" vs "))) contradictionStates += 1
+          if (qs != reference(s)) bad += 1
+        }
+      }
+      bad == 0
+    }
+    val res = SCTest.check(SCTest.Parameters.default.withMinSuccessfulTests(300), prop)
+    assert(res.passed, s"$bad of $states states differ: ${res.status}")
+    assert(contradictionStates > 300, s"vacuous: $contradictionStates states offer a contradiction's PairQ")
   }
 
   test("a session is deterministic in its seed, whatever the order of the views") {
