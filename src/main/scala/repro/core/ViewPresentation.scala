@@ -57,10 +57,9 @@ final case class SimUser(name: String, answerProb: Map[Interface, Double], patie
         // Options are sides of a contradiction (or a top-2 pick): the
         // truthful choice is the unique option that does NOT prune a view
         // satisfying the target. A user whose target is uninvolved has no
-        // basis to answer and skips. Options overlap, so each pruned view
-        // is tested once.
-        val hits = q.options.flatMap(_.prune).distinct.filter(satisfies).toSet
-        val (pruningTarget, safe) = q.options.indices.partition(i => q.options(i).prune.exists(hits))
+        // basis to answer and skips.
+        val pruningTarget = q.options.indices.filter(i => q.options(i).prune.exists(satisfies))
+        val safe = q.options.indices.filterNot(pruningTarget.contains)
         if (pruningTarget.nonEmpty && safe.size == 1) Some(safe.head) else None
     }
   }

@@ -170,20 +170,20 @@ class PresenterSpec extends AnyFunSuite {
   }
 
   // ---- properties on random distilled view sets ----------------------------
-  /** 4–30 random views over (k,v), (k,w), (a,b), (k,v,w) and (k|v,w) — (a,b)
-    * has the arity of (k,v) under other names, and the SummaryQ label of
-    * (k|v,w) reads as (k,v,w)'s — with keys 0–5 and cells x/y/z, so
-    * key values collide into contradictions. The target is one of the raw
-    * views, which C1/C2 may have dropped for a representative; users answer
-    * each interface with probability 0, 0.3, 0.7 or 1.
+  /** `views` random views over (k,v), (k,w), (a,b), (k,v,w) and (k|v,w) —
+    * (a,b) has the arity of (k,v) under other names, and the SummaryQ label
+    * of (k|v,w) reads as (k,v,w)'s — with keys 0 to `maxKey` and cells
+    * x/y/z, so key values collide into contradictions. The target is one of
+    * the raw views, which C1/C2 may have dropped for a representative; users
+    * answer each interface with probability 0, 0.3, 0.7 or 1.
     */
-  private val caseGen = for {
-    n <- Gen.choose(4, 30)
+  private def cases(views: Gen[Int], maxKey: Int) = for {
+    n <- views
     raw <- Gen.listOfN(n, for {
       schema <- Gen.oneOf(Vector("k", "v"), Vector("k", "w"), Vector("a", "b"), Vector("k", "v", "w"),
         Vector("k|v", "w"))
       rows <- Gen.choose(1, 5).flatMap(Gen.listOfN(_, Gen.sequence[Vector[String], String](
-        Gen.choose(0, 5).map(_.toString) +: schema.tail.map(_ => Gen.oneOf("x", "y", "z")))))
+        Gen.choose(0, maxKey).map(_.toString) +: schema.tail.map(_ => Gen.oneOf("x", "y", "z")))))
     } yield (schema, rows))
     views = raw.zipWithIndex.map { case ((schema, rows), i) =>
       MatView.fromRows(s"r$i", ViewSpec.singleTable(schema.map(ColumnRef("t", _))), schema, rows)
@@ -193,6 +193,8 @@ class PresenterSpec extends AnyFunSuite {
     probs <- Gen.listOfN(Interface.all.size, Gen.oneOf(0.0, 0.3, 0.7, 1.0))
     seed <- Gen.long
   } yield (views, target, views.map(_.id).zip(scores).toMap, Interface.all.zip(probs).toMap, seed)
+  /** 4–30 views with keys 0–5. */
+  private val caseGen = cases(Gen.choose(4, 30), 5)
 
   /** Walks one session from `initial`, showing a random one of each round's
     * questions (not the bandit's pick, to reach every kind of state) and
@@ -253,23 +255,29 @@ class PresenterSpec extends AnyFunSuite {
   }
 
   test("questions equal the set-based reference at every state of a session, in both view orders") {
-    var states = 0; var contradictionStates = 0; var bad = 0
-    val prop = Prop.forAllNoShrink(caseGen) { case (raw, target, scores, probs, seed) =>
-      val r = ViewDistillation.distill(raw)
-      val byId = r.distilled.map(v => v.id -> v).toMap
-      for (views <- Seq(r.distilled, r.distilled.reverse)) {
-        val reference = QuestionsReference(views, r) _
-        walk(new Presenter(views, r, scores), SimUser("u", probs, 3, seed), target, byId) { (s, qs, _) =>
-          states += 1
-          if (qs.exists(q => q.iface == Interface.PairQ && !q.label.contains(" vs "))) contradictionStates += 1
-          if (qs != reference(s)) bad += 1
+    var states = 0; var contradictionStates = 0; var wide = 0; var bad = 0
+    // 90–130 views with keys 0–99 rarely contain one another, so C1/C2
+    // keep more views than one 64-bit word holds.
+    for ((gen, minCases) <- Seq(caseGen -> 300, cases(Gen.choose(90, 130), 99) -> 30)) {
+      val prop = Prop.forAllNoShrink(gen) { case (raw, target, scores, probs, seed) =>
+        val r = ViewDistillation.distill(raw)
+        val byId = r.distilled.map(v => v.id -> v).toMap
+        if (r.distilled.size > 64) wide += 1
+        for (views <- Seq(r.distilled, r.distilled.reverse)) {
+          val reference = QuestionsReference(views, r) _
+          walk(new Presenter(views, r, scores), SimUser("u", probs, 3, seed), target, byId) { (s, qs, _) =>
+            states += 1
+            if (qs.exists(q => q.iface == Interface.PairQ && !q.label.contains(" vs "))) contradictionStates += 1
+            if (qs != reference(s)) bad += 1
+          }
         }
+        bad == 0
       }
-      bad == 0
+      val res = SCTest.check(SCTest.Parameters.default.withMinSuccessfulTests(minCases), prop)
+      assert(res.passed, s"$bad of $states states differ: ${res.status}")
     }
-    val res = SCTest.check(SCTest.Parameters.default.withMinSuccessfulTests(300), prop)
-    assert(res.passed, s"$bad of $states states differ: ${res.status}")
     assert(contradictionStates > 300, s"vacuous: $contradictionStates states offer a contradiction's PairQ")
+    assert(wide >= 30, s"only $wide cases distilled to more than 64 views")
   }
 
   test("a session is deterministic in its seed, whatever the order of the views") {
