@@ -14,11 +14,16 @@ import repro.exp.TableIII
   * The study pairs each persona with one task. The suite also runs every
   * persona against every task (5 × 18 VIEW-PRESENTATION sessions), pins
   * all 90 outcomes, and, after `WarmupPasses` untimed passes, times each
-  * task's 18 sessions `Runs` times, writing the medians with the distilled
-  * view and contradiction counts to `BENCH_tableIII.json` ([[BenchFiles]]).
+  * task's 18 sessions `Runs` times, each time over `PassesPerRun` passes,
+  * writing the medians per pass with the distilled view and contradiction
+  * counts to `BENCH_tableIII.json` ([[BenchFiles]]).
   */
 class TableIIIBench extends SparkSpec {
-  private val Runs = 3
+  // A pass over one task takes 0.1–8 ms, so one GC or JIT event moves a
+  // single timing: each run times a batch of passes, and runs go round the
+  // tasks in turn, so that a slow spell of the host spreads over all tasks.
+  private val Runs = 15
+  private val PassesPerRun = 10
   private val WarmupPasses = 10
 
   test("Table III: simulated user study outcomes") {
@@ -72,10 +77,11 @@ class TableIIIBench extends SparkSpec {
     // Untimed passes first, so that the JIT has compiled the presenter
     // before the first task's timed runs, not during them.
     for (_ <- 1 to WarmupPasses; t <- tasks) sessions(t)
-    val timed = tasks.zip(all).map { case (t, ss) =>
-      val runs = Vector.fill(Runs) { System.gc(); ms(sessions(t))._2 }
-      (t, ss, Stats.median(runs))
-    }
+    val runs = Vector.fill(Runs)(tasks.map { t =>
+      System.gc()
+      ms(for (_ <- 1 to PassesPerRun) sessions(t))._2 / PassesPerRun
+    })
+    val timed = tasks.indices.map(i => (tasks(i), all(i), Stats.median(runs.map(_(i))))).toVector
     println(f"${"Query"}%-10s ${"Views"}%6s ${"Contra"}%7s ${"Found"}%6s ${"Inter"}%6s ${"Sessions ms"}%12s")
     for ((t, ss, sessionsMs) <- timed)
       println(f"${t.nq.gt.name}%-10s ${t.distilled.size}%6d ${t.report.contradictions.size}%7d " +
@@ -88,7 +94,7 @@ class TableIIIBench extends SparkSpec {
     }
     val json =
       s"""{\n  "git_sha": "${BenchFiles.sha}",\n  "cpus": ${Runtime.getRuntime.availableProcessors},\n""" +
-        s"""  "runs": $Runs,\n  "users": ${users.size},\n""" +
+        s"""  "runs": $Runs,\n  "passes_per_run": $PassesPerRun,\n  "users": ${users.size},\n""" +
         f"""  "total_sessions_ms": ${timed.map(_._3).sum}%.2f,\n""" +
         lines.mkString("  \"tasks\": [\n", ",\n", "\n  ]\n}\n")
     BenchFiles.write("BENCH_tableIII.json", json)

@@ -1,6 +1,7 @@
 package repro.core
 
 import scala.collection.mutable
+import scala.jdk.CollectionConverters._
 
 /** One of the paper's 4C categories (Definitions 5-9). */
 sealed abstract class Rel(val name: String) { override def toString: String = name }
@@ -56,12 +57,14 @@ final case class KeySignals(
 /** VIEW-DISTILLATION (Algorithm 3).
   *
   * Views are compared only inside SCHEMA-BASED-BLOCKS; compatibility and
-  * containment are decided on row sets (the paper's row-wise hash H[V]);
-  * complementarity and contradiction are decided relative to shared
-  * candidate keys via an inverted index over key values. Contradictory
-  * overrides complementary for the same key (phase 2 updates phase 1's
-  * labels), and the distillation strategy deduplicates compatible views and
-  * keeps the largest contained view.
+  * containment are decided on row sets, as the views' int code rows (the
+  * paper's row-wise hash H[V], [[MatView]]); complementarity and
+  * contradiction are decided relative to shared candidate keys via an
+  * inverted index over key codes. Contradictory overrides complementary for
+  * the same key (phase 2 updates phase 1's labels), and the distillation
+  * strategy deduplicates compatible views and keeps the largest contained
+  * view. Views that do not share a dictionary are first recoded into one
+  * ([[MatView.shareDictionary]]).
   */
 object ViewDistillation {
 
@@ -70,9 +73,18 @@ object ViewDistillation {
     views.groupBy(_.schema).toVector.sortBy(_._1)(MatView.rowOrdering)
       .map(_._2.toVector.sortBy(_.id))
 
+  /** A view keyed by its rows: equal keys are views with equal row sets. */
+  private final class RowsKey(val view: MatView) {
+    override def hashCode: Int = view.rowsHash
+    override def equals(o: Any): Boolean = o match {
+      case that: RowsKey => view.rowsHash == that.view.rowsHash && view.size == that.view.size && view.covers(that.view)
+      case _ => false
+    }
+  }
+
   /** C1: collapse groups of row-set-equal views to one representative. */
   def dedupCompatible(block: Vector[MatView]): (Vector[MatView], Vector[ViewEdge]) = {
-    val groups = block.groupBy(_.rowSet).values.toVector.map(_.sortBy(_.id))
+    val groups = MatView.shareDictionary(block).groupBy(new RowsKey(_)).values.toVector.map(_.sortBy(_.id))
     val kept = groups.map(_.head).sortBy(_.id)
     val edges = groups.flatMap(g => g.tail.map(v => ViewEdge(g.head.id, v.id, Rel.Compatible)))
     (kept, edges.sortBy(e => (e.a, e.b)))
@@ -82,11 +94,11 @@ object ViewDistillation {
     * 9-11's distillation). Assumes compatible duplicates were removed.
     */
   def keepLargestContained(block: Vector[MatView]): (Vector[MatView], Vector[ViewEdge]) = {
-    val bySize = block.sortBy(v => (-v.size, v.id))
+    val bySize = MatView.shareDictionary(block).sortBy(v => (-v.size, v.id))
     val kept = mutable.ArrayBuffer.empty[MatView]
     val edges = Vector.newBuilder[ViewEdge]
     for (v <- bySize) {
-      kept.find(k => v.rowSet.subsetOf(k.rowSet)) match {
+      kept.find(_.covers(v)) match {
         case Some(k) => edges += ViewEdge(k.id, v.id, Rel.Contained)
         case None    => kept += v
       }
@@ -94,7 +106,7 @@ object ViewDistillation {
     (kept.sortBy(_.id).toVector, edges.result())
   }
 
-  /** Phase 2 under one candidate key: the inverted index key value → row →
+  /** Phase 2 under one candidate key: the inverted index key code → row →
     * views over the views of `block` keyed by `key` (Definition 9's
     * `K(V1) = K(V2)` requirement) yields
     *  - contradictions: key values that map to two or more rows, sides in
@@ -106,37 +118,51 @@ object ViewDistillation {
     *    of complementary views into one view.
     */
   def keySignals(block: Vector[MatView], key: String): KeySignals = {
-    val keyed = block.filter(_.candidateKeys.contains(key))
-    val index = mutable.Map.empty[String, mutable.Map[Vector[String], mutable.Set[Int]]]
-    for ((v, i) <- keyed.zipWithIndex; row <- v.rowSet) {
-      index.getOrElseUpdate(row(v.columnIndex(key)), mutable.Map.empty)
-        .getOrElseUpdate(row, mutable.Set.empty) += i
+    val keyed = MatView.shareDictionary(block.filter(_.candidateKeys.contains(key)))
+    val n = keyed.size
+    // Key code -> the rows with that key value, each with the views (in
+    // block order) that assert it; a keyed view asserts one row per key value.
+    val index = new java.util.HashMap[Integer, mutable.ArrayBuffer[(Array[Int], mutable.ArrayBuffer[Int])]]
+    for (i <- keyed.indices) {
+      val k = keyed(i).columnIndex(key)
+      for (row <- keyed(i).codes) {
+        val sides = index.computeIfAbsent(row(k), _ => mutable.ArrayBuffer.empty)
+        sides.find(s => java.util.Arrays.equals(s._1, row)) match {
+          case Some(side) => side._2 += i
+          case None       => sides += row -> mutable.ArrayBuffer(i)
+        }
+      }
     }
-    // A keyed view asserts one row per key value, so a pair sharing a row
-    // shares it under that row's key value only.
-    val shared = mutable.Map.empty[(Int, Int), Int].withDefaultValue(0)
-    val opposed = mutable.Set.empty[(Int, Int)]
-    for (groups <- index.values) {
-      val sides = groups.values.toVector.map(_.toVector.sorted)
-      for (side <- sides; a <- side.indices; b <- a + 1 until side.size) shared((side(a), side(b))) += 1
-      for (x <- sides.indices; y <- x + 1 until sides.size; i <- sides(x); j <- sides(y))
-        opposed += ((i min j, i max j))
+    // Per pair (i, j), i < j, as i * n + j: rows shared, and whether the
+    // two views are on opposite sides of some key value.
+    val shared = mutable.LongMap.empty[Int]
+    val opposed = mutable.LongMap.empty[Unit]
+    def pair(i: Int, j: Int): Long = (i min j).toLong * n + (i max j)
+    index.values.forEach { sides =>
+      for ((_, side) <- sides; a <- side.indices; b <- a + 1 until side.size) {
+        val p = pair(side(a), side(b))
+        shared(p) = shared.getOrElse(p, 0) + 1
+      }
+      for (x <- sides.indices; y <- x + 1 until sides.size; i <- sides(x)._2; j <- sides(y)._2)
+        opposed(pair(i, j)) = ()
     }
-    val pairs = shared.toVector.collect {
-      case ((i, j), n) if n < keyed(i).size && n < keyed(j).size && !opposed((i, j)) => (i, j)
-    }.sorted
-    val parent = Array.tabulate(keyed.size)(identity)
+    def ids(ps: Iterable[Long]): Vector[(Int, Int)] = ps.toVector.sorted.map(p => ((p / n).toInt, (p % n).toInt))
+    val pairs = ids(shared.collect {
+      case (p, s) if s < keyed((p / n).toInt).size && s < keyed((p % n).toInt).size && !opposed.contains(p) => p
+    })
+    val parent = Array.tabulate(n)(identity)
     def find(x: Int): Int = { if (parent(x) != x) parent(x) = find(parent(x)); parent(x) }
     for ((i, j) <- pairs) parent(find(i)) = find(j)
+    // Code order is string order: key values sort by code, sides by code row.
+    val contradictions = Vector.newBuilder[Contradiction]
+    for ((kv, sides) <- index.asScala.toVector.sortBy(_._1.intValue) if sides.size >= 2)
+      contradictions += Contradiction(key, keyed.head.cells(kv),
+        sides.toVector.sortWith((x, y) => MatView.compareRows(x._1, y._1) < 0).map(_._2.map(keyed(_).id).toSet))
     KeySignals(
-      contradictions = index.toVector.collect {
-        case (kv, groups) if groups.size >= 2 =>
-          Contradiction(key, kv,
-            groups.toVector.sortBy(_._1)(MatView.rowOrdering).map(_._2.map(keyed(_).id).toSet))
-      }.sortBy(_.keyValue),
-      contradictory = opposed.toVector.sorted.map { case (i, j) => (keyed(i).id, keyed(j).id) },
+      contradictions = contradictions.result(),
+      contradictory = ids(opposed.keys).map { case (i, j) => (keyed(i).id, keyed(j).id) },
       complementary = pairs.map { case (i, j) => (keyed(i).id, keyed(j).id) },
-      afterUnion = block.size - keyed.size + keyed.indices.count(i => find(i) == i))
+      afterUnion = block.size - n + keyed.indices.count(i => find(i) == i))
   }
 
   /** The full distillation pipeline over a candidate-view collection. C3
@@ -146,7 +172,7 @@ object ViewDistillation {
     * views").
     */
   def distill(views: Seq[MatView]): DistillReport = {
-    val blocks = schemaBlocks(views)
+    val blocks = schemaBlocks(MatView.shareDictionary(views.toVector))
     val edges = Vector.newBuilder[ViewEdge]
     var afterC1 = 0; var afterC2 = 0; var worst = 0; var best = 0
     val distilled = Vector.newBuilder[MatView]

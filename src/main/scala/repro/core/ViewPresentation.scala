@@ -264,10 +264,11 @@ object Presenter {
   /** A view satisfies the session when it has the target's schema and
     * covers the target's rows — C2's containment representative stands in
     * for the views it pruned. AttributeQ and SummaryQ answers prune by
-    * schema, so a view under other column names is not the target.
+    * schema, so a view under other column names is not the target. Rows
+    * are compared as int codes ([[MatView]]).
     */
   def satisfies(view: MatView, target: MatView): Boolean =
-    view.schema == target.schema && target.rowSet.subsetOf(view.rowSet)
+    view.schema == target.schema && view.covers(target)
 
   /** The post-bootstrap arm probabilities of `questions`, in their order;
     * `χ(I)` is the question's gain over the live views.

@@ -80,6 +80,8 @@ object TableRepo {
     * cell's code is its index there, and a null cell's code is −1. So equal
     * codes are equal cells, and code order is the cells' string order.
     * `columns(t)(i)` holds the codes of table `t`'s column `i`, row by row.
+    * Every view materialized from the repo keeps its rows' codes against
+    * `cells`, so 4C and the presenter compare them without recoding.
     */
   final class Encoded private[TableRepo] (val cells: Array[String], val columns: Map[String, Array[Array[Int]]]) {
     /** The code of [[Materializer.NullCell]], how a projected null renders. */

@@ -17,7 +17,7 @@ object DistillReference {
   def dedupCompatible(block: Vector[MatView]): (Vector[MatView], Vector[ViewEdge]) = {
     val edges = for {
       v <- block
-      first = block.filter(_.rowSet == v.rowSet).minBy(_.id) if first.id != v.id
+      first = block.filter(_.rows.toSet == v.rows.toSet).minBy(_.id) if first.id != v.id
     } yield ViewEdge(first.id, v.id, Rel.Compatible)
     (block.filterNot(v => edges.exists(_.b == v.id)).sortBy(_.id), edges.sortBy(e => (e.a, e.b)))
   }
@@ -31,7 +31,7 @@ object DistillReference {
     val bySize = block.sortBy(v => (-v.size, v.id))
     val edges = for {
       v <- bySize
-      w <- bySize.find(w => w.size > v.size && v.rowSet.subsetOf(w.rowSet))
+      w <- bySize.find(w => w.size > v.size && v.rows.toSet.subsetOf(w.rows.toSet))
     } yield ViewEdge(w.id, v.id, Rel.Contained)
     (block.filterNot(v => edges.exists(_.b == v.id)).sortBy(_.id), edges)
   }
@@ -41,7 +41,7 @@ object DistillReference {
     if (keyed.size < 2) return Vector.empty
     // keyValue -> row -> views asserting that row
     val index = mutable.Map.empty[String, mutable.Map[Vector[String], mutable.Set[String]]]
-    for (v <- keyed; row <- v.rowSet) {
+    for (v <- keyed; row <- v.rows.toSet[Vector[String]]) {
       val kv = row(v.columnIndex(key))
       index.getOrElseUpdate(kv, mutable.Map.empty)
         .getOrElseUpdate(row, mutable.Set.empty) += v.id
@@ -57,7 +57,7 @@ object DistillReference {
     */
   def contradicts(v1: MatView, v2: MatView, key: String): Boolean = {
     val i1 = v1.columnIndex(key); val i2 = v2.columnIndex(key)
-    val m1 = v1.rowSet.groupBy(_(i1)); val m2 = v2.rowSet.groupBy(_(i2))
+    val m1 = v1.rows.toSet[Vector[String]].groupBy(_(i1)); val m2 = v2.rows.toSet[Vector[String]].groupBy(_(i2))
     (m1.keySet intersect m2.keySet).exists(kv => m1(kv) != m2(kv))
   }
 
@@ -77,8 +77,8 @@ object DistillReference {
   def complementaryPairs(block: Vector[MatView], key: String): Vector[(MatView, MatView)] =
     for {
       (v1, v2) <- keyedPairs(block, key)
-      if (v1.rowSet intersect v2.rowSet).nonEmpty
-      if !v1.rowSet.subsetOf(v2.rowSet) && !v2.rowSet.subsetOf(v1.rowSet)
+      if (v1.rows.toSet intersect v2.rows.toSet).nonEmpty
+      if !v1.rows.toSet.subsetOf(v2.rows.toSet) && !v2.rows.toSet.subsetOf(v1.rows.toSet)
       if !contradicts(v1, v2, key)
     } yield (v1, v2)
 

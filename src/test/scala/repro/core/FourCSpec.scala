@@ -26,6 +26,33 @@ class FourCSpec extends AnyFunSuite {
     val v = MatView.fromRows("a", spec2("b", "a"), Vector("b", "a"), Seq(Seq("1", "2")))
     assert(v.schema == Vector("a", "b") && v.rows == Vector(Vector("2", "1")))
   }
+  test("MatView size counts distinct rows, and the constructor takes only distinct rows in canonical order") {
+    assert(mv("a", kv, "1" -> "x", "2" -> "y", "1" -> "x").size == 2)
+    val rows = Vector(Vector("1", "x"), Vector("2", "y"))
+    val v = MatView("a", spec2("k", "v"), Vector("k", "v"), rows)
+    assert(v.size == 2 && v.rows == rows && v == mv("a", kv, "2" -> "y", "1" -> "x"))
+    for (bad <- Seq(rows.reverse, Vector(rows(0), rows(0)), rows :+ rows(0))) {
+      val e = intercept[IllegalArgumentException](MatView("b", spec2("k", "v"), Vector("k", "v"), bad))
+      assert(e.getMessage.contains("b: rows not distinct and in canonical order"))
+    }
+  }
+  test("MatView of 0 rows: size 0 and every column a candidate key") {
+    for (v <- Seq(mv("a", kv), MatView("b", spec2("k", "v"), Vector("k", "v"), Vector.empty))) {
+      assert(v.size == 0 && v.candidateKeys == Vector("k", "v"))
+    }
+  }
+  test("candidateKeys: a ∅ cell is one value, distinct from the empty cell") {
+    val n = Materializer.NullCell
+    assert(mv("a", kv, n -> "x", n -> "y").candidateKeys == Vector("v"))
+    assert(mv("a", kv, n -> "x", "" -> "y").candidateKeys == Vector("k", "v"))
+  }
+  test("MatView equality is over id, spec, schema and rows, whatever the dictionary") {
+    val a = mv("a", kv, "1" -> "x")
+    val b = mv("a", kv, "1" -> "x", "2" -> "y")
+    val (kept, _) = ViewDistillation.keepLargestContained(Vector(a, b))
+    assert(kept == Vector(b) && kept.head.hashCode == b.hashCode)
+    assert(a != a.copy(id = "b") && a.copy(id = "b").copy(id = "a") == a)
+  }
   test("candidateKeys: both unique columns are keys") {
     assert(mv("a", kv, "1" -> "x", "2" -> "y").candidateKeys == Vector("k", "v"))
   }
@@ -286,6 +313,34 @@ class FourCSpec extends AnyFunSuite {
       s"vacuous: $withComplementary cases with complementary edges, $withContradictions with contradictions")
   }
 
+  test("randomized: materialized views and their fromRows rebuilds distill alike") {
+    // One or two random repos, several specs over each: views of one repo
+    // share its dictionary, views of two repos and every rebuild do not, so
+    // distill recodes them into one.
+    val cell = Gen.frequency(3 -> Gen.oneOf("a", "ab", "b", "A", "", Materializer.NullCell), 1 -> Gen.const(null: String))
+    val viewsGen = for {
+      nRepos <- Gen.choose(1, 2)
+      repos <- Gen.listOfN(nRepos, MaterializerSpec.repoGen(cell, maxTables = 3, maxRows = 8).flatMap { r =>
+        Gen.choose(2, 6).flatMap(n => Gen.listOfN(n, MaterializerSpec.specGen(r.data.map(_.name)))).map(r -> _)
+      })
+    } yield repos.zipWithIndex.flatMap { case ((r, specs), g) =>
+      specs.zipWithIndex.map { case (spec, i) => Materializer.materialize(r, spec, s"v$g$i") }
+    }.toVector
+    val seen = scala.collection.mutable.Map.empty[String, Int].withDefaultValue(0)
+    val prop = Prop.forAllNoShrink(viewsGen) { views =>
+      val rebuilt = views.map(v => MatView.fromRows(v.id, v.spec, v.schema, v.rows))
+      val r = ViewDistillation.distill(views)
+      r.edges.map(_.rel.name).distinct.foreach(seen(_) += 1)
+      if (r.contradictions.nonEmpty) seen("contradiction") += 1
+      Prop(r == ViewDistillation.distill(rebuilt) && r == DistillReference.distill(views)) :|
+        s"views ${views.map(v => (v.id, v.schema, v.rows))}"
+    }
+    val res = SCTest.check(SCTest.Parameters.default.withMinSuccessfulTests(1000), prop)
+    assert(res.passed, res.status.toString)
+    assert(Seq("compatible", "contained", "complementary", "contradictory", "contradiction").forall(seen(_) > 0),
+      s"vacuous: $seen")
+  }
+
   test("4C labels do not depend on view ids or input order") {
     val renamedGen = for { vs <- viewSetGen; seed <- Gen.long } yield {
       val rng = new scala.util.Random(seed)
@@ -293,9 +348,9 @@ class FourCSpec extends AnyFunSuite {
       (vs, rng.shuffle(vs.indices.toVector).map(i => vs(i).copy(id = fresh(i))))
     }
     def canon(r: DistillReport, vs: Vector[MatView]) = {
-      val sig = vs.map(v => v.id -> (v.schema, v.rowSet)).toMap
+      val sig = vs.map(v => v.id -> (v.schema, v.rows.toSet)).toMap
       (r.original, r.afterCompatible, r.afterContained, r.c3Worst, r.c3Best,
-        r.distilled.map(v => (v.schema, v.rowSet)).toSet,
+        r.distilled.map(v => (v.schema, v.rows.toSet)).toSet,
         r.contradictions.map(c => (c.key, c.keyValue, c.sides.map(_.map(sig)).toSet)),
         r.edges.collect { case e if e.rel == Rel.Complementary || e.rel == Rel.Contradictory =>
           (e.rel, Set(sig(e.a), sig(e.b)), e.key)

@@ -191,9 +191,9 @@ class MaterializerSpec extends SparkSpec {
     val views = Vector(empties.head, full)
     def counts(vs: Seq[MatView]) = {
       val d = ViewDistillation.distill(vs)
-      (d.original, d.afterCompatible, d.afterContained, d.c3Worst, d.c3Best, d.distilled.map(_.rowSet))
+      (d.original, d.afterCompatible, d.afterContained, d.c3Worst, d.c3Best, d.distilled.map(_.rows.toSet))
     }
-    val pinned = (2, 2, 1, 1, 1, Vector(full.rowSet))
+    val pinned = (2, 2, 1, 1, 1, Vector(full.rows.toSet))
     for (ids <- Seq("a", "b").permutations; order <- views.indices.permutations) {
       val vs = order.map(i => views(i).copy(id = ids(i)))
       assert(counts(vs) == pinned, vs.map(_.id))
@@ -262,28 +262,40 @@ object MaterializerSpec {
   private val cols = Vector("a", "b", "c")
 
   /** A random repo of 2 to `maxTables` tables over columns a, b, c with 0 to
-    * `maxRows` rows of `cell`s, and a spec over all of them: a chain of
-    * one- or two-edge (composite-key) joins, plus the closing pair of a
-    * triangle half the time, projecting 1 to 3 columns, whose bare names
-    * may repeat.
+    * `maxRows` rows of `cell`s, and a spec over all of them ([[specGen]]).
     */
-  def caseGen(cell: Gen[String], maxTables: Int, maxRows: Int): Gen[(TableRepo, ViewSpec)] = {
-    def c(t: String, col: String) = ColumnRef(t, col)
+  def caseGen(cell: Gen[String], maxTables: Int, maxRows: Int): Gen[(TableRepo, ViewSpec)] =
+    for {
+      r <- repoGen(cell, maxTables, maxRows)
+      spec <- specGen(r.data.map(_.name))
+    } yield (r, spec)
+
+  /** Tables t0, t1, … of 0 to `maxRows` rows of `cell`s over columns a, b, c. */
+  def repoGen(cell: Gen[String], maxTables: Int, maxRows: Int): Gen[TableRepo] = {
     val tableGen = Gen.choose(0, maxRows).flatMap(n => Gen.listOfN(n, Gen.listOfN(cols.size, cell)))
-    def edgesGen(t: String, u: String) = Gen.choose(1, 2).flatMap(n =>
-      Gen.listOfN(n, Gen.zip(Gen.oneOf(cols), Gen.oneOf(cols))).map(_.map { case (x, y) =>
-        JoinEdge(c(t, x), c(u, y)) }))
     for {
       nTables <- Gen.choose(2, maxTables)
       names = Vector.tabulate(nTables)(i => s"t$i")
       data <- Gen.listOfN(nTables, tableGen)
+    } yield TableRepo("random", names.zip(data).map { case (t, rows) => Table(t, cols, rows) }, Vector.empty)
+  }
+
+  /** A spec over the tables `names` (columns a, b, c): a chain of one- or
+    * two-edge (composite-key) joins, plus the closing pair of a triangle half
+    * the time, projecting 1 to 3 columns, whose bare names may repeat.
+    */
+  def specGen(names: Vector[String]): Gen[ViewSpec] = {
+    def c(t: String, col: String) = ColumnRef(t, col)
+    def edgesGen(t: String, u: String) = Gen.choose(1, 2).flatMap(n =>
+      Gen.listOfN(n, Gen.zip(Gen.oneOf(cols), Gen.oneOf(cols))).map(_.map { case (x, y) =>
+        JoinEdge(c(t, x), c(u, y)) }))
+    for {
       pairs <- Gen.oneOf(true, false).map(closed =>
-        names.zip(names.tail) ++ Option.when(closed && nTables == 3)(names.head -> names.last))
+        names.zip(names.tail) ++ Option.when(closed && names.size == 3)(names.head -> names.last))
       edges <- Gen.sequence[List[List[JoinEdge]], List[JoinEdge]](pairs.map { case (t, u) => edgesGen(t, u) })
       nProj <- Gen.choose(1, 3)
       proj <- Gen.listOfN(nProj, Gen.zip(Gen.oneOf(names), Gen.oneOf(cols)))
-    } yield (TableRepo("random", names.zip(data).map { case (t, rows) => Table(t, cols, rows) }, Vector.empty),
-      ViewSpec(names.toSet, edges.flatten.toSet, proj.map { case (t, col) => c(t, col) }.toVector))
+    } yield ViewSpec(names.toSet, edges.flatten.toSet, proj.map { case (t, col) => c(t, col) }.toVector)
   }
 
   /** DuckDB SQL for a spec: inner equi-joins in reach order, the projection

@@ -4,6 +4,8 @@ import org.scalacheck.{Gen, Prop, Test => SCTest}
 import org.scalatest.funsuite.AnyFunSuite
 import scala.util.Random
 
+import repro.data.{Table, TableRepo}
+
 /** Unit tests for VIEW-PRESENTATION (Algorithm 2): question construction,
   * truthful answering, bandit behaviour, convergence and give-up; plus
   * properties of `questions`, `probabilities` and `step` on random
@@ -86,6 +88,62 @@ class PresenterSpec extends AnyFunSuite {
     val p = new Presenter(r.distilled, r, scores)
     val s = p.run(SimUser("u", alwaysAnswer, patience = 3, seed = 7), two(0))
     assert(s.found && s.interactions == 1)
+  }
+
+  /** The rule `satisfies` keeps: same schema, and the target's rows a
+    * subset of the view's, compared as strings.
+    */
+  private def satisfiesByStrings(view: MatView, target: MatView): Boolean =
+    view.schema == target.schema && target.rows.toSet[Vector[String]].subsetOf(view.rows.toSet)
+
+  test("satisfies: case, prefixes, ∅ and 0-row targets") {
+    val n = Materializer.NullCell
+    val abc = mv("t", ("k", "v"), "Abc" -> "a", n -> "")
+    assert(Presenter.satisfies(mv("a", ("k", "v"), "Abc" -> "a", n -> "", "abc" -> "ab"), abc))
+    assert(!Presenter.satisfies(mv("b", ("k", "v"), "abc" -> "a", n -> ""), abc))
+    assert(!Presenter.satisfies(mv("c", ("k", "v"), "Abc" -> "ab", n -> ""), abc))
+    assert(!Presenter.satisfies(mv("d", ("k", "v"), "Abc" -> "a", "" -> ""), abc))
+    assert(!Presenter.satisfies(mv("e", ("k", "w"), "Abc" -> "a", n -> ""), abc))
+    val empty = mv("t0", ("k", "v"))
+    assert(Presenter.satisfies(abc, empty) && Presenter.satisfies(empty, empty))
+    assert(!Presenter.satisfies(mv("e", ("k", "w")), empty) && !Presenter.satisfies(empty, abc))
+  }
+
+  test("satisfies equals the string rule on views of one repo dictionary and of their own") {
+    // Tables t0–t3 over (k, v) take random subsets, some empty, of one pool
+    // of rows, so views nest; each view projects its table on (k, v), k or v.
+    val cell = Gen.frequency(6 -> Gen.oneOf(Materializer.NullCell, "", "a", "ab", "Abc", "abc"), 1 -> Gen.const(null: String))
+    val viewsGen = for {
+      pool <- Gen.listOfN(6, Gen.listOfN(2, cell))
+      tables <- Gen.listOfN(4, Gen.someOf(pool))
+      projections <- Gen.listOfN(4, Gen.oneOf(Vector("k", "v"), Vector("v", "k"), Vector("k"), Vector("v")))
+    } yield {
+      val repo = TableRepo("satisfies", tables.zipWithIndex.map { case (rows, i) =>
+        Table(s"t$i", Seq("k", "v"), rows.toSeq) }.toVector, Vector.empty)
+      projections.zipWithIndex.map { case (cols, i) =>
+        Materializer.materialize(repo, ViewSpec.singleTable(cols.map(ColumnRef(s"t$i", _))), s"v$i")
+      }.toVector
+    }
+    var satisfied = 0; var unsatisfied = 0; var emptyTargets = 0; var emptyViews = 0
+    val prop = Prop.forAllNoShrink(viewsGen) { views =>
+      val rebuilt = views.map(v => MatView.fromRows(v.id, v.spec, v.schema, v.rows))
+      views.indices.forall { i =>
+        views.indices.forall { j =>
+          val expected = satisfiesByStrings(views(i), views(j))
+          if (expected) satisfied += 1 else if (views(i).schema == views(j).schema) unsatisfied += 1
+          if (expected && views(j).size == 0) emptyTargets += 1
+          if (views(i).size == 0 && views(i).schema == views(j).schema) emptyViews += 1
+          Presenter.satisfies(views(i), views(j)) == expected &&
+            Presenter.satisfies(rebuilt(i), rebuilt(j)) == expected &&
+            Presenter.satisfies(views(i), rebuilt(j)) == expected
+        }
+      }
+    }
+    val res = SCTest.check(SCTest.Parameters.default.withMinSuccessfulTests(300), prop)
+    assert(res.passed, res.status.toString)
+    assert(satisfied > 0 && unsatisfied > 0 && emptyTargets > 0 && emptyViews > 0,
+      s"vacuous: $satisfied satisfied, $unsatisfied same-schema unsatisfied, $emptyTargets 0-row targets, " +
+        s"$emptyViews 0-row views")
   }
 
   test("SimUser attribute answers follow the target schema") {

@@ -87,7 +87,7 @@ class TableRepoSpec extends SparkSpec {
     val spec = ViewSpec(Set("l", "r"), Set(JoinEdge(c("l", "k"), c("r", "k"))), Vector(c("l", "v"), c("r", "w")))
     val v = Materializer.materialize(withNulls, spec, "v")
     Oracle.assertEquivalent(TableRepo.df(spark, v.schema, v.rows), sqlFor(spec), "l" -> withNulls("l"), "r" -> withNulls("r"))
-    assert(v.rowSet == Set(Vector("x", "p"), Vector("y", "q"), Vector(Materializer.NullCell, "q")))
+    assert(v.rows.toSet == Set(Vector("x", "p"), Vector("y", "q"), Vector(Materializer.NullCell, "q")))
   }
 
   test("ChemblLite views pass the DuckDB oracle over repo(t)") {
