@@ -19,7 +19,7 @@ import repro.exp.TableIII
   * counts to `BENCH_tableIII.json` ([[BenchFiles]]).
   */
 class TableIIIBench extends SparkSpec {
-  // A pass over one task takes 0.1–8 ms, so one GC or JIT event moves a
+  // A task's 18 sessions take a few ms, so one GC or JIT event moves a
   // single timing: each run times a batch of passes, and runs go round the
   // tasks in turn, so that a slow spell of the host spreads over all tasks.
   private val Runs = 15

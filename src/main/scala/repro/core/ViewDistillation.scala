@@ -77,7 +77,8 @@ object ViewDistillation {
   private final class RowsKey(val view: MatView) {
     override def hashCode: Int = view.rowsHash
     override def equals(o: Any): Boolean = o match {
-      case that: RowsKey => view.rowsHash == that.view.rowsHash && view.size == that.view.size && view.covers(that.view)
+      case that: RowsKey =>
+        view.rowsHash == that.view.rowsHash && view.size == that.view.size && view.covers(that.view)
       case _ => false
     }
   }
