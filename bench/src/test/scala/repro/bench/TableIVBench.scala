@@ -14,11 +14,17 @@ import repro.exp.TableIV
   *
   * Table IV is the MATERIALIZER's heaviest traffic (up to 100 views per
   * query), so the suite also times each query's materialization and
-  * distillation, `Runs` times each, and writes the medians with the view
-  * and row counts to `BENCH_tableIV.json` ([[BenchFiles]]).
+  * distillation: after `WarmupPasses` untimed passes, `Runs` times each,
+  * each time over `PassesPerRun` passes, and writes the medians per pass
+  * with the view and row counts to `BENCH_tableIV.json` ([[BenchFiles]]).
   */
 class TableIVBench extends SparkSpec {
-  private val Runs = 3
+  // A query takes 3–55 ms, so one GC or JIT event moves a single timing:
+  // each run times a batch of passes, and runs go round the queries in
+  // turn, so that a slow spell of the host spreads over all queries.
+  private val Runs = 9
+  private val PassesPerRun = 5
+  private val WarmupPasses = 2
 
   test("Table IV: effect of 4C distillation on #views") {
     val queries = TableIV.queries(spark)
@@ -41,19 +47,24 @@ class TableIVBench extends SparkSpec {
     assert(wq3.exists(r => r.c3Best * 2 <= r.c3Worst),
       "wdc-Q3's best key unions much more than its worst key")
 
-    val timed = queries.map { q =>
-      val specs = q.ver.searchSpecs(q.nq.query, ColumnStrategy.ColumnSelection())
-      val runs = Vector.fill(Runs) {
-        // A collection before each timed stage, so that the garbage one
-        // stage leaves is not collected on the other's clock.
-        System.gc()
-        val (views, materializeMs) = ms(q.ver.materialize(specs, TableIV.MaterializeCap))
-        System.gc()
-        val (_, distillMs) = ms(ViewDistillation.distill(views))
-        (views, materializeMs, distillMs)
-      }
-      val views = runs.head._1
-      (q, views.size, views.map(_.rows.size).sum, Stats.median(runs.map(_._2)), Stats.median(runs.map(_._3)))
+    val specs = queries.map(q => q.ver.searchSpecs(q.nq.query, ColumnStrategy.ColumnSelection()))
+    def materialize(i: Int) = queries(i).ver.materialize(specs(i), TableIV.MaterializeCap)
+    val views = queries.indices.map(materialize)
+    // Untimed passes first, so that the JIT has compiled both stages before
+    // the first query's timed runs, not during them.
+    for (_ <- 1 to WarmupPasses; i <- queries.indices) ViewDistillation.distill(materialize(i))
+    // A collection before each timed batch, so that the garbage one stage
+    // leaves is not collected on the other's clock.
+    def perPass(stage: => Any): Double = {
+      System.gc()
+      ms(for (_ <- 1 to PassesPerRun) stage)._2 / PassesPerRun
+    }
+    val runs = Vector.fill(Runs)(queries.indices.map { i =>
+      (perPass(materialize(i)), perPass(ViewDistillation.distill(views(i))))
+    })
+    val timed = queries.indices.map { i =>
+      (queries(i), views(i).size, views(i).map(_.rows.size).sum,
+        Stats.median(runs.map(_(i)._1)), Stats.median(runs.map(_(i)._2)))
     }
     println(f"${"Query"}%-10s ${"Noise"}%-5s ${"Views"}%6s ${"Rows"}%7s ${"Mat ms"}%8s ${"Distill ms"}%10s")
     for ((q, views, viewRows, matMs, distillMs) <- timed)
@@ -68,7 +79,8 @@ class TableIVBench extends SparkSpec {
     }
     val json =
       s"""{\n  "git_sha": "${BenchFiles.sha}",\n  "cpus": ${Runtime.getRuntime.availableProcessors},\n""" +
-        s"""  "runs": $Runs,\n  "materialize_cap": ${TableIV.MaterializeCap},\n""" +
+        s"""  "runs": $Runs,\n  "passes_per_run": $PassesPerRun,\n""" +
+        s"""  "materialize_cap": ${TableIV.MaterializeCap},\n""" +
         f"""  "total_materialize_ms": ${timed.map(_._4).sum}%.2f,\n  "total_distill_ms": ${timed.map(_._5).sum}%.2f,\n""" +
         corpora.mkString("  \"corpora\": [\n", ",\n", "\n  ],\n") +
         lines.mkString("  \"queries\": [\n", ",\n", "\n  ]\n}\n")

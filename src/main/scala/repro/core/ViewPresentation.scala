@@ -1,7 +1,7 @@
 package repro.core
 
 import scala.annotation.tailrec
-import scala.collection.mutable
+import scala.collection.Searching.Found
 import scala.util.Random
 
 /** A question interface (§IV Question Interface): each is an arm of the
@@ -16,11 +16,12 @@ object Interface {
   val all: Vector[Interface] = Vector(DatasetQ, AttributeQ, PairQ, SummaryQ)
 }
 
-/** One selectable answer of a question: choosing it prunes `prune` from the
-  * candidate set; `accepts` marks a dataset-question "yes" that ends the
-  * session with that view.
+/** One selectable answer of a question: choosing it prunes the view set
+  * `prune` from the candidates; `accepts` marks a dataset-question "yes"
+  * that ends the session with that view. Views are the asking
+  * [[Presenter]]'s numbers.
   */
-final case class QOption(label: String, prune: Set[String], accepts: Option[String] = None)
+final case class QOption(label: String, prune: Array[Long], accepts: Option[Int] = None)
 
 /** A question shown on some interface. Its information gain is the maximum
   * number of views pruned over the possible answers (§IV-A Question's
@@ -28,7 +29,7 @@ final case class QOption(label: String, prune: Set[String], accepts: Option[Stri
   */
 final case class Question(iface: Interface, label: String, options: Vector[QOption]) {
   require(options.nonEmpty)
-  def gain: Int = options.map(_.prune.size).max
+  def gain: Int = options.map(o => Presenter.count(o.prune)).max
 }
 
 /** A simulated study participant: answers a question truthfully w.p.
@@ -38,27 +39,28 @@ final case class Question(iface: Interface, label: String, options: Vector[QOpti
   */
 final case class SimUser(name: String, answerProb: Map[Interface, Double], patience: Int, seed: Long) {
 
-  /** Index of the truthful option, or None to skip (unknown or unlucky). */
-  def answer(q: Question, target: MatView, views: Map[String, MatView], rng: Random): Option[Int] = {
+  /** Index of the truthful option, or None to skip (unknown or unlucky); `views` by number. */
+  def answer(q: Question, target: MatView, views: IndexedSeq[MatView], rng: Random): Option[Int] = {
     if (rng.nextDouble() >= answerProb.getOrElse(q.iface, 0.0)) return None
-    def satisfies(id: String): Boolean = Presenter.satisfies(views(id), target)
+    def satisfies(v: Int): Boolean = Presenter.satisfies(views(v), target)
     q.iface match {
       case Interface.DatasetQ =>
         // "Does this view satisfy your requirements?"
-        val shown = q.options.head.accepts.orElse(q.options.head.prune.headOption).getOrElse(return None)
+        val shown = q.options.head.accepts.orElse(Presenter.members(q.options.head.prune).nextOption())
+          .getOrElse(return None)
         Some(if (satisfies(shown)) 0 else 1)
       case Interface.AttributeQ =>
         // options: yes = views WITH the attribute survive.
         val attr = q.label
         Some(if (target.schema.contains(attr)) 0 else 1)
       case Interface.SummaryQ => // option 1, irrelevant, prunes the asked schema's block
-        Some(if (views(q.options(1).prune.head).schema == target.schema) 0 else 1)
+        Some(if (views(Presenter.members(q.options(1).prune).next()).schema == target.schema) 0 else 1)
       case Interface.PairQ =>
         // Options are sides of a contradiction (or a top-2 pick): the
         // truthful choice is the unique option that does NOT prune a view
         // satisfying the target. A user whose target is uninvolved has no
         // basis to answer and skips.
-        val pruningTarget = q.options.indices.filter(i => q.options(i).prune.exists(satisfies))
+        val pruningTarget = q.options.indices.filter(i => Presenter.members(q.options(i).prune).exists(satisfies))
         val safe = q.options.indices.filterNot(pruningTarget.contains)
         if (pruningTarget.nonEmpty && safe.size == 1) Some(safe.head) else None
     }
@@ -79,62 +81,43 @@ final case class Session(found: Boolean, interactions: Int, finalSize: Int)
   */
 final class Presenter(views: Vector[MatView], report: DistillReport, initialScores: Map[String, Double]) {
   import Presenter._
-  private val byId: Map[String, MatView] = views.map(v => v.id -> v).toMap
+
+  /** The views by number, which is their rank in id order: view `i` is bit
+    * `i` of every view set, and a set's lowest number is its least id.
+    */
+  val byNumber: Vector[MatView] = views.sortBy(_.id)
+  private val ids: Vector[String] = byNumber.map(_.id)
+  require(ids.indices.drop(1).forall(i => ids(i - 1) != ids(i)), "view ids must be unique")
+  private val words = (ids.length + 63) >>> 6
+  /** The view set of `numbers`. */
+  private def setOf(numbers: IterableOnce[Int]): Array[Long] = {
+    val b = new Array[Long](words)
+    numbers.iterator.foreach(i => b(i >>> 6) |= 1L << i)
+    b
+  }
 
   /** Every view live at its initial score; nothing asked yet. */
-  val initial: State = State(views.map(v => v.id -> initialScores.getOrElse(v.id, 0.0)).toMap,
+  val initial: State = State(setOf(ids.indices), ids.map(initialScores.getOrElse(_, 0.0)).toArray,
     Interface.all.map(_ -> 0).toMap, Interface.all.map(_ -> 0).toMap, Set.empty, 0, 0)
 
-  // Views numbered once per presenter: bit i of a view set stands for
-  // ids(i), in any order, since no choice depends on it. Every set a
-  // question splits the live views by is a bitset here, built on the first
-  // call to `questions`, so a round intersects them with its live set and
+  // Every set a question splits the live views by, built on the first call
+  // to `questions`, so that a round intersects them with its live set and
   // counts bits.
-  private lazy val ids: Array[String] = byId.keys.toArray
-  private lazy val number: Map[String, Int] = ids.iterator.zipWithIndex.toMap
-  private lazy val words = (ids.length + 63) >>> 6
-  /** Sets the bits of `members` in `b` from word `from`; ids of other
-    * views are left out.
-    */
-  private def setBits(members: Iterable[String], b: Array[Long], from: Int): Array[Long] = {
-    members.foreach { id =>
-      val i = number.getOrElse(id, -1)
-      if (i >= 0) b(from + (i >>> 6)) |= 1L << i
-    }
-    b
-  }
   /** Each attribute with the views that have it. */
-  private lazy val attributes: Vector[(String, Array[Long])] = {
-    val has = mutable.HashMap.empty[String, Array[Long]]
-    for (i <- ids.indices; a <- byId(ids(i)).schema) has.getOrElseUpdate(a, new Array(words))(i >>> 6) |= 1L << i
-    has.toVector
-  }
+  private lazy val attributes: Vector[(String, Array[Long])] =
+    ids.indices.flatMap(i => byNumber(i).schema.map(_ -> i)).groupMap(_._1)(_._2).view.mapValues(setOf).toVector
   /** Each schema block's SummaryQ label and views, in schema order. */
-  private lazy val blocks: Vector[(String, Array[Long])] = {
-    val block = mutable.HashMap.empty[Vector[String], Array[Long]]
-    for (i <- ids.indices) block.getOrElseUpdate(byId(ids(i)).schema, new Array(words))(i >>> 6) |= 1L << i
-    block.toVector.sortBy(_._1)(MatView.rowOrdering).map { case (schema, b) => schema.mkString("|") -> b }
-  }
-  // The sides of contradiction c, in report order, are bitsets
-  // firstSide(c) until firstSide(c + 1) of sideBits, each `words` long.
+  private lazy val blocks: Vector[(String, Array[Long])] =
+    ids.indices.groupBy(byNumber(_).schema).toVector.sortBy(_._1)(MatView.rowOrdering)
+      .map { case (schema, block) => schema.mkString("|") -> setOf(block) }
+  // The sides of contradiction c, in report order, are view sets
+  // firstSide(c) until firstSide(c + 1) of sideBits, each `words` long;
+  // ids of other views are left out.
   private lazy val firstSide: Array[Int] = report.contradictions.scanLeft(0)(_ + _.sides.size).toArray
-  private lazy val sideBits: Array[Long] = {
-    val b = new Array[Long](firstSide.last * words)
-    var side = 0
-    for (c <- report.contradictions; members <- c.sides) { setBits(members, b, side * words); side += 1 }
-    b
-  }
-
-  private def decode(b: Array[Long]): Set[String] = {
-    val out = Set.newBuilder[String]
-    var w = 0
-    while (w < words) {
-      var x = b(w)
-      while (x != 0) { out += ids((w << 6) + java.lang.Long.numberOfTrailingZeros(x)); x &= x - 1 }
-      w += 1
-    }
-    out.result()
-  }
+  private lazy val sideBits: Array[Long] =
+    report.contradictions.iterator.flatMap(_.sides).flatMap { members =>
+      setOf(members.iterator.map(ids.search(_)).collect { case Found(i) => i })
+    }.toArray
 
   /** Each interface's best question not shown yet, in [[Interface.all]]
     * order; an interface with nothing left to ask has none. AttributeQ and
@@ -145,8 +128,8 @@ final class Presenter(views: Vector[MatView], report: DistillReport, initialScor
     * the first in report order.
     */
   def questions(state: State): Vector[Question] = {
-    val live = setBits(state.utility.keys, new Array(words), 0)
-    val n = countAnd(live, 0, live)
+    val live = state.live
+    val n = state.liveCount
     def shown(i: Interface, label: String): Boolean = state.shown((i, label))
     // The labelled set whose split of the live views has the largest larger
     // side; `keep` prunes the live views outside it, `drop` those inside.
@@ -160,15 +143,15 @@ final class Presenter(views: Vector[MatView], report: DistillReport, initialScor
             !shown(i, label)) { best = set; bestSide = side }
       }
       Option(best).map { case (label, members) =>
-        Question(i, label, Vector(QOption(keep, decode(andNot(live, members))), QOption(drop, decode(and(live, members)))))
+        Question(i, label, Vector(QOption(keep, andNot(live, members)), QOption(drop, and(live, members))))
       }
     }
     Interface.all.flatMap {
       case Interface.DatasetQ =>
-        state.ranking.find(!shown(Interface.DatasetQ, _)).map { id =>
-          Question(Interface.DatasetQ, id, Vector(
-            QOption("yes", Set.empty, accepts = Some(id)),
-            QOption("no", Set(id))))
+        state.ranking.find(v => !shown(Interface.DatasetQ, ids(v))).map { v =>
+          Question(Interface.DatasetQ, ids(v), Vector(
+            QOption("yes", setOf(Nil), accepts = Some(v)),
+            QOption("no", setOf(Seq(v)))))
         }
       case Interface.AttributeQ => split(Interface.AttributeQ, attributes, "include", "exclude")
       case Interface.SummaryQ   => split(Interface.SummaryQ, blocks, "relevant", "irrelevant")
@@ -203,35 +186,35 @@ final class Presenter(views: Vector[MatView], report: DistillReport, initialScor
         if (best >= 0) {
           val kept = Vector.range(firstSide(best), firstSide(best + 1))
             .map(side => Array.tabulate(words)(w => sideBits(side * words + w) & live(w)))
-            .filter(side => countAnd(side, 0, side) > 0)
+            .filter(count(_) > 0)
           val all = kept.reduce((a, b) => Array.tabulate(words)(w => a(w) | b(w)))
           Some(Question(Interface.PairQ, pairLabel(cs(best)), kept.zipWithIndex.map { case (side, i) =>
-            QOption(s"side$i", decode(andNot(all, side)), accepts = Some(decode(side).min))
+            QOption(s"side$i", andNot(all, side), accepts = Some(members(side).next()))
           }))
         } else {
           // Fallback: pick between the two top-ranked views.
           val top = state.ranking.take(2)
           if (top.size < 2) None
-          else Some(Question(Interface.PairQ, s"${top(0)} vs ${top(1)}", Vector(
-            QOption(top(0), Set(top(1)), accepts = Some(top(0))),
-            QOption(top(1), Set(top(0)), accepts = Some(top(1))))))
+          else Some(Question(Interface.PairQ, s"${ids(top(0))} vs ${ids(top(1))}", Vector(
+            QOption(ids(top(0)), setOf(Seq(top(1))), accepts = Some(top(0))),
+            QOption(ids(top(1)), setOf(Seq(top(0))), accepts = Some(top(1))))))
         }
     }
   }
 
   def run(user: SimUser, target: MatView): Session = {
     val rng = new Random(user.seed)
-    def satisfies(id: String): Boolean = Presenter.satisfies(byId(id), target)
-    def scan(s: State) = Session(s.ranking.take(user.patience).exists(satisfies), s.interactions, s.live.size)
+    def satisfies(v: Int): Boolean = Presenter.satisfies(byNumber(v), target)
+    def scan(s: State) = Session(s.ranking.take(user.patience).exists(satisfies), s.interactions, s.liveCount)
     @tailrec def loop(s: State): Session = {
       lazy val qs = questions(s)
       if (s.interactions >= MaxT) scan(s)
       // A short list is directly scannable: one more interaction settles it.
-      else if (s.live.size <= SmallK) Session(s.live.exists(satisfies), s.interactions + 1, s.live.size)
+      else if (s.liveCount <= SmallK) Session(members(s.live).exists(satisfies), s.interactions + 1, s.liveCount)
       else if (qs.isEmpty) scan(s)
       else {
         val q = choose(s, qs, rng)
-        step(s, q, user.answer(q, target, byId, rng)) match {
+        step(s, q, user.answer(q, target, byNumber, rng)) match {
           case Left(done)  => done
           case Right(next) => loop(next)
         }
@@ -249,14 +232,17 @@ object Presenter {
   // ⌈log₂|I|⌉ round-robin questions per interface before the first draw
   val BootstrapPerArm: Int = math.ceil(math.log(Interface.all.size.toDouble) / math.log(2)).toInt
 
-  /** A session between rounds: live view id → utility, questions asked and
-    * answered per interface, every question shown as (interface, label), and
-    * the interactions and consecutive skips so far.
+  /** A session between rounds, over its presenter's view numbers: the live
+    * views, each view's utility (a pruned view keeps its last), questions
+    * asked and answered per interface, every question shown as (interface,
+    * label), and the interactions and consecutive skips so far.
     */
-  final case class State(utility: Map[String, Double], asked: Map[Interface, Int], answered: Map[Interface, Int],
-                         shown: Set[(Interface, String)], interactions: Int, skipStreak: Int) {
-    def live: Set[String] = utility.keySet
-    lazy val ranking: Vector[String] = utility.toVector.sortBy { case (id, u) => (-u, id) }.map(_._1)
+  final case class State(live: Array[Long], utility: Array[Double], asked: Map[Interface, Int],
+                         answered: Map[Interface, Int], shown: Set[(Interface, String)], interactions: Int,
+                         skipStreak: Int) {
+    lazy val liveCount: Int = count(live)
+    /** The live views by utility, descending, then by number (id order). */
+    lazy val ranking: Vector[Int] = members(live).toVector.sortBy(v => (-utility(v), v))
     /** r(I): the Laplace-smoothed answer rate. */
     def rate(i: Interface): Double = (answered(i) + 0.5) / (asked(i) + 1.0)
   }
@@ -274,7 +260,7 @@ object Presenter {
     * `χ(I)` is the question's gain over the live views.
     */
   def probabilities(state: State, questions: Vector[Question]): Vector[Double] = {
-    val weights = questions.map(q => state.rate(q.iface) * (q.gain.toDouble / state.live.size))
+    val weights = questions.map(q => state.rate(q.iface) * (q.gain.toDouble / state.liveCount))
     val total = weights.sum
     val n = weights.size
     weights.map(w => (if (total > 0) (1 - Gamma) * w / total else (1 - Gamma) / n) + Gamma / n)
@@ -301,27 +287,38 @@ object Presenter {
       case None =>
         // Skip — only r(I) learns from this; a long streak of skips means
         // the participant disengages and abandons the task.
-        if (state.skipStreak + 1 >= GiveUpAfter) Left(Session(found = false, asked.interactions, state.live.size))
+        if (state.skipStreak + 1 >= GiveUpAfter) Left(Session(found = false, asked.interactions, state.liveCount))
         else Right(asked.copy(skipStreak = state.skipStreak + 1))
       case Some(k) =>
         val next = asked.copy(answered = state.answered.updated(i, state.answered(i) + 1), skipStreak = 0)
         val opt = question.options(k)
         if (i == Interface.DatasetQ && opt.accepts.nonEmpty)
-          Left(Session(found = true, next.interactions, state.live.size))
+          Left(Session(found = true, next.interactions, state.liveCount))
         else {
           // Utility update (§IV-B Ranking Views): surviving views captured
           // by the answer gain r(I)/|capture|.
-          val keep = state.utility -- opt.prune
+          val keep = andNot(state.live, opt.prune)
           val r = next.rate(i)
-          val capture = math.max(1, keep.size)
-          Right(next.copy(utility = keep.transform((_, u) => u + r / capture)))
+          val capture = math.max(1, count(keep))
+          val utility = state.utility.clone()
+          members(keep).foreach(v => utility(v) += r / capture)
+          Right(next.copy(live = keep, utility = utility))
         }
     }
   }
 
   private def pairLabel(c: Contradiction): String = s"${c.key}=${c.keyValue}"
 
-  // Word operations on a presenter's view bitsets: `a` from word `from`
+  /** The number of views in `set`. */
+  def count(set: Array[Long]): Int = countAnd(set, 0, set)
+
+  /** The view numbers in `set`, ascending. */
+  def members(set: Array[Long]): Iterator[Int] = set.indices.iterator.flatMap { w =>
+    Iterator.iterate(set(w))(x => x & (x - 1)).takeWhile(_ != 0)
+      .map(x => (w << 6) + java.lang.Long.numberOfTrailingZeros(x))
+  }
+
+  // Word operations on a presenter's view sets: `a` from word `from`
   // against all of `b`.
   private def countAnd(a: Array[Long], from: Int, b: Array[Long]): Int = {
     var n = 0

@@ -7,12 +7,13 @@ import scala.util.Random
 import repro.data.{Table, TableRepo}
 
 /** Unit tests for VIEW-PRESENTATION (Algorithm 2): question construction,
-  * truthful answering, bandit behaviour, convergence and give-up; plus
-  * properties of `questions`, `probabilities` and `step` on random
-  * distilled view sets, and of `questions` against its set-based
-  * reference.
+  * truthful answering, bandit behaviour, convergence and give-up, and the
+  * pinned sessions of a 5-view fixture; plus properties of `questions`,
+  * `probabilities` and `step` on random distilled view sets, and of
+  * `questions` and `step` against their references over view ids.
   */
 class PresenterSpec extends AnyFunSuite {
+  import PresenterSpec.Round
 
   private def spec2(c1: String, c2: String) =
     ViewSpec.singleTable(Vector(ColumnRef("t", c1), ColumnRef("t", c2)))
@@ -33,6 +34,21 @@ class PresenterSpec extends AnyFunSuite {
 
   private def alwaysAnswer: Map[Interface, Double] = Interface.all.map(_ -> 1.0).toMap
   private def neverAnswer: Map[Interface, Double] = Interface.all.map(_ -> 0.0).toMap
+
+  // A presenter speaks view numbers; the tests compare in view ids, through
+  // `ids` and the `decode`s below. The fixture's ids a–e are numbers 0–4.
+  private val fixture = new Presenter(views, report, scores)
+  /** The fixture's view set of `ids`. */
+  private def fixtureSet(ids: String*): Array[Long] =
+    Array(ids.map(id => 1L << fixture.byNumber.indexWhere(_.id == id)).foldLeft(0L)(_ | _))
+  /** The ids of the views in `set`, one of `p`'s view sets. */
+  private def ids(p: Presenter, set: Array[Long]): Set[String] = Presenter.members(set).map(p.byNumber(_).id).toSet
+  private def decode(p: Presenter, q: Question): QuestionsReference.Question =
+    QuestionsReference.Question(q.iface, q.label, q.options.map(o =>
+      QuestionsReference.QOption(o.label, ids(p, o.prune), o.accepts.map(p.byNumber(_).id))))
+  private def decode(p: Presenter, s: Presenter.State): StepReference.State =
+    StepReference.State(Presenter.members(s.live).map(v => p.byNumber(v).id -> s.utility(v)).toMap,
+      s.asked, s.answered, s.shown, s.interactions, s.skipStreak)
 
   test("perfect user finds the target") {
     val p = new Presenter(views, report, scores)
@@ -63,6 +79,33 @@ class PresenterSpec extends AnyFunSuite {
     val (s1, s2) = (once, once)
     assert(s1 == s2)
   }
+  /** One line per target in `views` order, one `found interactions/finalSize`
+    * token per seed 1–10 (`+` found, `-` not), for a user who answers
+    * everything and one who answers each interface by chance.
+    */
+  private val PinnedSessions = Vector(
+    SimUser("u", alwaysAnswer, patience = 5, seed = 0) -> Vector(
+      "+2/3 +2/3 +2/3 +2/3 +2/3 +2/3 +2/3 +2/3 +2/3 +2/3",
+      "+2/3 +2/3 +2/3 +2/3 +2/3 +2/3 +2/3 +2/3 +2/3 +2/3",
+      "+2/3 +2/3 +2/3 +2/3 +2/3 +2/3 +2/3 +2/3 +2/3 +2/3",
+      "+2/2 +2/2 +2/2 +2/2 +2/2 +2/2 +2/2 +2/2 +2/2 +2/2",
+      "+2/2 +2/2 +2/2 +2/2 +2/2 +2/2 +2/2 +2/2 +2/2 +2/2"),
+    SimUser("mixed", Map(Interface.DatasetQ -> 0.5, Interface.AttributeQ -> 0.7, Interface.PairQ -> 0.6,
+      Interface.SummaryQ -> 0.3), patience = 2, seed = 0) -> Vector(
+      "+2/5 +8/3 +2/5 +6/3 +2/5 +5/3 +7/3 +6/2 +8/3 +2/5",
+      "+4/3 +8/3 +4/3 +6/3 +4/3 +5/3 +6/4 +6/2 +6/5 +4/3",
+      "+4/3 +4/3 +4/3 +6/3 +4/3 +5/3 +4/3 +4/3 +8/3 +4/3",
+      "+7/3 +9/2 +6/2 +6/2 +6/2 +5/2 +12/2 +6/2 +11/3 +5/2",
+      "+7/3 +9/2 +6/2 +6/2 +6/2 +5/2 +12/2 +6/2 +11/3 +5/2"))
+
+  test("the fixture's sessions are pinned for seeds 1–10, every target and two users") {
+    def token(s: Session): String = s"${if (s.found) "+" else "-"}${s.interactions}/${s.finalSize}"
+    for ((user, lines) <- PinnedSessions; (target, line) <- views.zip(lines)) {
+      val sessions = (1 to 10).map(seed => new Presenter(views, report, scores).run(user.copy(seed = seed), target))
+      assert(sessions.map(token).mkString(" ") == line, s"user=${user.name} target=${target.id}")
+    }
+  }
+
   test("a session that keeps more than SmallK views ends at Presenter.MaxT") {
     // One schema and no contradictions: only DatasetQ and the top-2 PairQ
     // have questions. The user answers DatasetQ only, and each "no" (no view
@@ -148,19 +191,19 @@ class PresenterSpec extends AnyFunSuite {
 
   test("SimUser attribute answers follow the target schema") {
     val u = SimUser("u", alwaysAnswer, 3, 1)
-    val byId = views.map(v => v.id -> v).toMap
+    val byNumber = fixture.byNumber
     val q = Question(Interface.AttributeQ, "k",
-      Vector(QOption("include", Set("d", "e")), QOption("exclude", Set("a", "b", "c"))))
-    assert(u.answer(q, views(0), byId, new Random(1)).contains(0)) // target has k
-    assert(u.answer(q, views(3), byId, new Random(1)).contains(1)) // target lacks k
+      Vector(QOption("include", fixtureSet("d", "e")), QOption("exclude", fixtureSet("a", "b", "c"))))
+    assert(u.answer(q, views(0), byNumber, new Random(1)).contains(0)) // target has k
+    assert(u.answer(q, views(3), byNumber, new Random(1)).contains(1)) // target lacks k
   }
   test("SimUser summary answers compare schemas") {
     val u = SimUser("u", alwaysAnswer, 3, 1)
-    val byId = views.map(v => v.id -> v).toMap
+    val byNumber = fixture.byNumber
     val q = Question(Interface.SummaryQ, "k|v",
-      Vector(QOption("relevant", Set("d", "e")), QOption("irrelevant", Set("a", "b", "c"))))
-    assert(u.answer(q, views(0), byId, new Random(1)).contains(0))
-    assert(u.answer(q, views(4), byId, new Random(1)).contains(1))
+      Vector(QOption("relevant", fixtureSet("d", "e")), QOption("irrelevant", fixtureSet("a", "b", "c"))))
+    assert(u.answer(q, views(0), byNumber, new Random(1)).contains(0))
+    assert(u.answer(q, views(4), byNumber, new Random(1)).contains(1))
   }
   test("SimUser summary answers hold for column names that contain |") {
     // The label of schema (k|v, w) reads "k|v|w", as (k, v, w) would.
@@ -170,9 +213,9 @@ class PresenterSpec extends AnyFunSuite {
     val r = ViewDistillation.distill(piped)
     val p = new Presenter(r.distilled, r, Map.empty)
     val q = p.questions(p.initial).find(_.iface == Interface.SummaryQ).get
-    val byId = piped.map(v => v.id -> v).toMap
-    val answer = SimUser("u", alwaysAnswer, 3, 1).answer(q, piped(0), byId, new Random(1))
-    assert(q.label == "k|v|w" && answer.contains(0) && !q.options(0).prune.contains("p1"))
+    val byNumber = p.byNumber
+    val answer = SimUser("u", alwaysAnswer, 3, 1).answer(q, piped(0), byNumber, new Random(1))
+    assert(q.label == "k|v|w" && answer.contains(0) && !ids(p, q.options(0).prune).contains("p1"))
   }
   test("SummaryQ picks between schemas with one label by schema order, whatever the order of the views") {
     // (k|v, w) and (k, v, w) both read "k|v|w", and their splits tie.
@@ -185,7 +228,7 @@ class PresenterSpec extends AnyFunSuite {
     val r = ViewDistillation.distill(piped)
     def summary(vs: Vector[MatView]) = {
       val p = new Presenter(vs, r, Map.empty)
-      p.questions(p.initial).find(_.iface == Interface.SummaryQ).get
+      decode(p, p.questions(p.initial).find(_.iface == Interface.SummaryQ).get)
     }
     val q = summary(piped)
     assert(q.label == "k|v|w" && q.options(1).prune == Set("q1", "q2"))
@@ -193,25 +236,25 @@ class PresenterSpec extends AnyFunSuite {
   }
   test("SimUser pair answers pick the side not pruning the target") {
     val u = SimUser("u", alwaysAnswer, 3, 1)
-    val byId = views.map(v => v.id -> v).toMap
+    val byNumber = fixture.byNumber
     val q = Question(Interface.PairQ, "k=1", Vector(
-      QOption("side0", Set("c"), accepts = Some("a")),
-      QOption("side1", Set("a", "b"), accepts = Some("c"))))
-    assert(u.answer(q, views(0), byId, new Random(1)).contains(0)) // target a pruned by side1
-    assert(u.answer(q, views(2), byId, new Random(1)).contains(1)) // target c pruned by side0
-    assert(u.answer(q, views(3), byId, new Random(1)).isEmpty)     // uninvolved → skip
+      QOption("side0", fixtureSet("c"), accepts = Some(0)),
+      QOption("side1", fixtureSet("a", "b"), accepts = Some(2))))
+    assert(u.answer(q, views(0), byNumber, new Random(1)).contains(0)) // target a pruned by side1
+    assert(u.answer(q, views(2), byNumber, new Random(1)).contains(1)) // target c pruned by side0
+    assert(u.answer(q, views(3), byNumber, new Random(1)).isEmpty)     // uninvolved → skip
   }
   test("SimUser skips when the interface probability is zero") {
     val u = SimUser("u", neverAnswer, 3, 1)
-    val byId = views.map(v => v.id -> v).toMap
+    val byNumber = fixture.byNumber
     val q = Question(Interface.AttributeQ, "k",
-      Vector(QOption("include", Set("d")), QOption("exclude", Set("a"))))
-    assert(u.answer(q, views(0), byId, new Random(1)).isEmpty)
+      Vector(QOption("include", fixtureSet("d")), QOption("exclude", fixtureSet("a"))))
+    assert(u.answer(q, views(0), byNumber, new Random(1)).isEmpty)
   }
 
   test("Question gain is the max prune size across answers") {
     val q = Question(Interface.AttributeQ, "k",
-      Vector(QOption("include", Set("d", "e")), QOption("exclude", Set("a", "b", "c"))))
+      Vector(QOption("include", fixtureSet("d", "e")), QOption("exclude", fixtureSet("a", "b", "c"))))
     assert(q.gain == 3)
   }
   test("Contradiction discrimination counts the largest agreeing side") {
@@ -253,24 +296,29 @@ class PresenterSpec extends AnyFunSuite {
   } yield (views, target, views.map(_.id).zip(scores).toMap, Interface.all.zip(probs).toMap, seed)
   /** 4–30 views with keys 0–5. */
   private val caseGen = cases(Gen.choose(4, 30), 5)
+  /** 90–130 views with keys 0–99, which rarely contain one another, so
+    * C1/C2 keep more views than one 64-bit word holds.
+    */
+  private val wideGen = cases(Gen.choose(90, 130), 99)
 
   /** Walks one session from `initial`, showing a random one of each round's
     * questions (not the bandit's pick, to reach every kind of state) and
-    * applying `user`'s answer; calls `visit` with each state, its questions
-    * and the step's result, for up to `Presenter.MaxT` rounds.
+    * applying `user`'s answer, for up to `Presenter.MaxT` rounds.
     */
-  private def walk(p: Presenter, user: SimUser, target: MatView, byId: Map[String, MatView])(
-      visit: (Presenter.State, Vector[Question], Either[Session, Presenter.State]) => Unit): Unit = {
+  private def walk(p: Presenter, user: SimUser, target: MatView): Vector[Round] = {
     val rng = new Random(user.seed)
+    val rounds = Vector.newBuilder[Round]
     var state = Option(p.initial)
     while (state.exists(s => s.interactions < Presenter.MaxT && p.questions(s).nonEmpty)) {
       val s = state.get
       val qs = p.questions(s)
       val q = qs(rng.nextInt(qs.size))
-      val next = Presenter.step(s, q, user.answer(q, target, byId, rng))
-      visit(s, qs, next)
+      val answer = user.answer(q, target, p.byNumber, rng)
+      val next = Presenter.step(s, q, answer)
+      rounds += Round(s, qs, q, answer, next)
       state = next.toOption
     }
+    rounds.result()
   }
 
   test("a truthful step never removes a live view that satisfies the target") {
@@ -278,13 +326,13 @@ class PresenterSpec extends AnyFunSuite {
     val prop = Prop.forAllNoShrink(caseGen) { case (raw, target, scores, _, seed) =>
       val r = ViewDistillation.distill(raw)
       val byId = r.distilled.map(v => v.id -> v).toMap
-      walk(new Presenter(r.distilled, r, scores), SimUser("u", alwaysAnswer, 3, seed), target, byId) {
-        (s, _, next) =>
-          val satisfying = s.live.filter(id => Presenter.satisfies(byId(id), target))
-          next.foreach { n =>
-            if (n.answered != s.answered && satisfying.nonEmpty) answered += 1
-            if (!satisfying.subsetOf(n.live)) bad += 1
-          }
+      val p = new Presenter(r.distilled, r, scores)
+      for (Round(s, _, _, _, next) <- walk(p, SimUser("u", alwaysAnswer, 3, seed), target)) {
+        val satisfying = ids(p, s.live).filter(id => Presenter.satisfies(byId(id), target))
+        next.foreach { n =>
+          if (n.answered != s.answered && satisfying.nonEmpty) answered += 1
+          if (!satisfying.subsetOf(ids(p, n.live))) bad += 1
+        }
       }
       bad == 0
     }
@@ -297,9 +345,8 @@ class PresenterSpec extends AnyFunSuite {
     var postBootstrap = 0
     val prop = Prop.forAllNoShrink(caseGen) { case (raw, target, scores, probs, seed) =>
       val r = ViewDistillation.distill(raw)
-      val byId = r.distilled.map(v => v.id -> v).toMap
       var ok = true
-      walk(new Presenter(r.distilled, r, scores), SimUser("u", probs, 3, seed), target, byId) { (s, qs, _) =>
+      for (Round(s, qs, _, _, _) <- walk(new Presenter(r.distilled, r, scores), SimUser("u", probs, 3, seed), target)) {
         val ps = Presenter.probabilities(s, qs)
         if (qs.forall(q => s.asked(q.iface) >= Presenter.BootstrapPerArm)) postBootstrap += 1
         ok &&= ps.size == qs.size && math.abs(ps.sum - 1) <= 1e-9 &&
@@ -314,19 +361,17 @@ class PresenterSpec extends AnyFunSuite {
 
   test("questions equal the set-based reference at every state of a session, in both view orders") {
     var states = 0; var contradictionStates = 0; var wide = 0; var bad = 0
-    // 90–130 views with keys 0–99 rarely contain one another, so C1/C2
-    // keep more views than one 64-bit word holds.
-    for ((gen, minCases) <- Seq(caseGen -> 300, cases(Gen.choose(90, 130), 99) -> 30)) {
+    for ((gen, minCases) <- Seq(caseGen -> 300, wideGen -> 30)) {
       val prop = Prop.forAllNoShrink(gen) { case (raw, target, scores, probs, seed) =>
         val r = ViewDistillation.distill(raw)
-        val byId = r.distilled.map(v => v.id -> v).toMap
         if (r.distilled.size > 64) wide += 1
         for (views <- Seq(r.distilled, r.distilled.reverse)) {
           val reference = QuestionsReference(views, r) _
-          walk(new Presenter(views, r, scores), SimUser("u", probs, 3, seed), target, byId) { (s, qs, _) =>
+          val p = new Presenter(views, r, scores)
+          for (Round(s, qs, _, _, _) <- walk(p, SimUser("u", probs, 3, seed), target)) {
             states += 1
             if (qs.exists(q => q.iface == Interface.PairQ && !q.label.contains(" vs "))) contradictionStates += 1
-            if (qs != reference(s)) bad += 1
+            if (qs.map(decode(p, _)) != reference(decode(p, s))) bad += 1
           }
         }
         bad == 0
@@ -335,6 +380,42 @@ class PresenterSpec extends AnyFunSuite {
       assert(res.passed, s"$bad of $states states differ: ${res.status}")
     }
     assert(contradictionStates > 300, s"vacuous: $contradictionStates states offer a contradiction's PairQ")
+    assert(wide >= 30, s"only $wide cases distilled to more than 64 views")
+  }
+
+  test("states equal the Map-based step reference at every round of a session, in both view orders") {
+    var states = 0; var wide = 0; var bad = 0
+    /** A state's live ids with their utilities as raw bits, its ranking and its counters. */
+    def observe(s: StepReference.State, ranking: Vector[String]) =
+      (s.utility.view.mapValues(java.lang.Double.doubleToRawLongBits).toMap, ranking,
+        s.copy(utility = Map.empty))
+    for ((gen, minCases) <- Seq(caseGen -> 300, wideGen -> 30)) {
+      val prop = Prop.forAllNoShrink(gen) { case (raw, target, scores, probs, seed) =>
+        val r = ViewDistillation.distill(raw)
+        if (r.distilled.size > 64) wide += 1
+        for (views <- Seq(r.distilled, r.distilled.reverse)) {
+          val p = new Presenter(views, r, scores)
+          // The reference walks its own states, from the same questions and
+          // answers; each state of the walk must decode to the reference's.
+          var reference = StepReference.initial(views, scores)
+          def check(s: Presenter.State): Unit = {
+            states += 1
+            if (observe(decode(p, s), s.ranking.map(p.byNumber(_).id)) != observe(reference, reference.ranking))
+              bad += 1
+          }
+          for (round <- walk(p, SimUser("u", probs, 3, seed), target)) {
+            check(round.state)
+            val next = StepReference.step(reference, decode(p, round.shown), round.answer)
+            if (next.left.toOption != round.next.left.toOption) bad += 1
+            next.foreach(reference = _)
+            round.next.foreach(check)
+          }
+        }
+        bad == 0
+      }
+      val res = SCTest.check(SCTest.Parameters.default.withMinSuccessfulTests(minCases), prop)
+      assert(res.passed, s"$bad of $states states differ: ${res.status}")
+    }
     assert(wide >= 30, s"only $wide cases distilled to more than 64 views")
   }
 
@@ -349,4 +430,13 @@ class PresenterSpec extends AnyFunSuite {
     val res = SCTest.check(SCTest.Parameters.default.withMinSuccessfulTests(300), prop)
     assert(res.passed, res.status.toString)
   }
+}
+
+object PresenterSpec {
+
+  /** One round of a walk: the state, its questions, the one shown, the
+    * user's answer and the step's result.
+    */
+  final case class Round(state: Presenter.State, questions: Vector[Question], shown: Question,
+                         answer: Option[Int], next: Either[Session, Presenter.State])
 }

@@ -4,12 +4,19 @@ package repro.core
   * [[Presenter.questions]] replaced: every round it rebuilds each
   * interface's splits from `Set[String]` operations over the live ids and
   * restricts every contradiction to the live set. Kept as the reference
-  * the bitset version is checked against. Its one change from the code it
-  * was: SummaryQ breaks a tie between two schemas with one label (`(k|v, w)`
-  * and `(k, v, w)` both read `k|v|w`) by schema order, where hash-map
-  * iteration order used to pick.
+  * the bitset version is checked against, on the states of
+  * [[StepReference]]. Its one change from the code it was: SummaryQ breaks
+  * a tie between two schemas with one label (`(k|v, w)` and `(k, v, w)`
+  * both read `k|v|w`) by schema order, where hash-map iteration order used
+  * to pick.
   */
 object QuestionsReference {
+
+  /** A question with its views as ids: each option prunes the views
+    * `prune`, and `accepts` names the view a "yes" ends the session with.
+    */
+  final case class Question(iface: Interface, label: String, options: Vector[QOption])
+  final case class QOption(label: String, prune: Set[String], accepts: Option[String] = None)
 
   /** The contradiction restricted to surviving views; None once fewer than
     * two sides remain (the signal can no longer discriminate).
@@ -19,7 +26,7 @@ object QuestionsReference {
     if (kept.size >= 2) Some(c.copy(sides = kept)) else None
   }
 
-  def apply(views: Vector[MatView], report: DistillReport)(state: Presenter.State): Vector[Question] = {
+  def apply(views: Vector[MatView], report: DistillReport)(state: StepReference.State): Vector[Question] = {
     val byId: Map[String, MatView] = views.map(v => v.id -> v).toMap
     val s = state.live
     def shown(i: Interface, label: String): Boolean = state.shown((i, label))
