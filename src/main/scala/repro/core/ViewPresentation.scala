@@ -18,8 +18,7 @@ object Interface {
 
 /** One selectable answer of a question: choosing it prunes the view set
   * `prune` from the candidates; `accepts` marks a dataset-question "yes"
-  * that ends the session with that view. Views are the asking
-  * [[Presenter]]'s numbers.
+  * that ends the session with that view, by the [[Presenter]]'s number.
   */
 final case class QOption(label: String, prune: Array[Long], accepts: Option[Int] = None)
 
@@ -46,8 +45,7 @@ final case class SimUser(name: String, answerProb: Map[Interface, Double], patie
     q.iface match {
       case Interface.DatasetQ =>
         // "Does this view satisfy your requirements?"
-        val shown = q.options.head.accepts.orElse(Presenter.members(q.options.head.prune).nextOption())
-          .getOrElse(return None)
+        val shown = q.options.head.accepts.getOrElse(return None)
         Some(if (satisfies(shown)) 0 else 1)
       case Interface.AttributeQ =>
         // options: yes = views WITH the attribute survive.
@@ -82,9 +80,7 @@ final case class Session(found: Boolean, interactions: Int, finalSize: Int)
 final class Presenter(views: Vector[MatView], report: DistillReport, initialScores: Map[String, Double]) {
   import Presenter._
 
-  /** The views by number, which is their rank in id order: view `i` is bit
-    * `i` of every view set, and a set's lowest number is its least id.
-    */
+  /** The views in id order: view `i` is bit `i` of every view set, so a set's lowest bit is its least id. */
   val byNumber: Vector[MatView] = views.sortBy(_.id)
   private val ids: Vector[String] = byNumber.map(_.id)
   require(ids.indices.drop(1).forall(i => ids(i - 1) != ids(i)), "view ids must be unique")
@@ -114,10 +110,9 @@ final class Presenter(views: Vector[MatView], report: DistillReport, initialScor
   // firstSide(c) until firstSide(c + 1) of sideBits, each `words` long;
   // ids of other views are left out.
   private lazy val firstSide: Array[Int] = report.contradictions.scanLeft(0)(_ + _.sides.size).toArray
-  private lazy val sideBits: Array[Long] =
-    report.contradictions.iterator.flatMap(_.sides).flatMap { members =>
-      setOf(members.iterator.map(ids.search(_)).collect { case Found(i) => i })
-    }.toArray
+  private lazy val sideBits: Array[Long] = Array.concat(report.contradictions.flatMap(_.sides).map { members =>
+    setOf(members.iterator.map(ids.search(_)).collect { case Found(i) => i })
+  }: _*)
 
   /** Each interface's best question not shown yet, in [[Interface.all]]
     * order; an interface with nothing left to ask has none. AttributeQ and
@@ -232,10 +227,9 @@ object Presenter {
   // ⌈log₂|I|⌉ round-robin questions per interface before the first draw
   val BootstrapPerArm: Int = math.ceil(math.log(Interface.all.size.toDouble) / math.log(2)).toInt
 
-  /** A session between rounds, over its presenter's view numbers: the live
-    * views, each view's utility (a pruned view keeps its last), questions
-    * asked and answered per interface, every question shown as (interface,
-    * label), and the interactions and consecutive skips so far.
+  /** A session between rounds: the live views, utilities by view number,
+    * questions asked and answered per interface, every question shown as
+    * (interface, label), and the interactions and consecutive skips so far.
     */
   final case class State(live: Array[Long], utility: Array[Double], asked: Map[Interface, Int],
                          answered: Map[Interface, Int], shown: Set[(Interface, String)], interactions: Int,
@@ -313,9 +307,16 @@ object Presenter {
   def count(set: Array[Long]): Int = countAnd(set, 0, set)
 
   /** The view numbers in `set`, ascending. */
-  def members(set: Array[Long]): Iterator[Int] = set.indices.iterator.flatMap { w =>
-    Iterator.iterate(set(w))(x => x & (x - 1)).takeWhile(_ != 0)
-      .map(x => (w << 6) + java.lang.Long.numberOfTrailingZeros(x))
+  def members(set: Array[Long]): Iterator[Int] = new Iterator[Int] {
+    private var w = -1
+    private var x = 0L
+    def hasNext: Boolean = { while (x == 0 && w + 1 < set.length) { w += 1; x = set(w) }; x != 0 }
+    def next(): Int = {
+      if (!hasNext) throw new NoSuchElementException
+      val i = (w << 6) + java.lang.Long.numberOfTrailingZeros(x)
+      x &= x - 1
+      i
+    }
   }
 
   // Word operations on a presenter's view sets: `a` from word `from`
