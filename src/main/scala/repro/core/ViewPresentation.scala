@@ -1,7 +1,7 @@
 package repro.core
 
 import scala.annotation.tailrec
-import scala.collection.Searching.Found
+import scala.collection.mutable
 import scala.util.Random
 
 /** A question interface (§IV Question Interface): each is an arm of the
@@ -82,37 +82,46 @@ final class Presenter(views: Vector[MatView], report: DistillReport, initialScor
 
   /** The views in id order: view `i` is bit `i` of every view set, so a set's lowest bit is its least id. */
   val byNumber: Vector[MatView] = views.sortBy(_.id)
-  private val ids: Vector[String] = byNumber.map(_.id)
-  require(ids.indices.drop(1).forall(i => ids(i - 1) != ids(i)), "view ids must be unique")
+  private val ids: Array[String] = byNumber.map(_.id).toArray
   private val words = (ids.length + 63) >>> 6
   /** The view set of `numbers`. */
-  private def setOf(numbers: IterableOnce[Int]): Array[Long] = {
-    val b = new Array[Long](words)
-    numbers.iterator.foreach(i => b(i >>> 6) |= 1L << i)
-    b
-  }
+  private def setOf(numbers: IterableOnce[Int]): Array[Long] =
+    numbers.iterator.foldLeft(new Array[Long](words)) { (b, i) => b(i >>> 6) |= 1L << i; b }
 
   /** Every view live at its initial score; nothing asked yet. */
-  val initial: State = State(setOf(ids.indices), ids.map(initialScores.getOrElse(_, 0.0)).toArray,
+  val initial: State = State(setOf(ids.indices), ids.map(initialScores.getOrElse(_, 0.0)),
     Interface.all.map(_ -> 0).toMap, Interface.all.map(_ -> 0).toMap, Set.empty, 0, 0)
 
   // Every set a question splits the live views by, built on the first call
   // to `questions`, so that a round intersects them with its live set and
   // counts bits.
   /** Each attribute with the views that have it. */
-  private lazy val attributes: Vector[(String, Array[Long])] =
-    ids.indices.flatMap(i => byNumber(i).schema.map(_ -> i)).groupMap(_._1)(_._2).view.mapValues(setOf).toVector
+  private lazy val attributes: Vector[(String, Array[Long])] = {
+    val has = mutable.HashMap.empty[String, Array[Long]]
+    for (i <- ids.indices; a <- byNumber(i).schema) has.getOrElseUpdate(a, new Array(words))(i >>> 6) |= 1L << i
+    has.toVector
+  }
   /** Each schema block's SummaryQ label and views, in schema order. */
-  private lazy val blocks: Vector[(String, Array[Long])] =
-    ids.indices.groupBy(byNumber(_).schema).toVector.sortBy(_._1)(MatView.rowOrdering)
-      .map { case (schema, block) => schema.mkString("|") -> setOf(block) }
-  // The sides of contradiction c, in report order, are view sets
-  // firstSide(c) until firstSide(c + 1) of sideBits, each `words` long;
-  // ids of other views are left out.
+  private lazy val blocks: Vector[(String, Array[Long])] = {
+    val block = mutable.HashMap.empty[Vector[String], Array[Long]]
+    for (i <- ids.indices) block.getOrElseUpdate(byNumber(i).schema, new Array(words))(i >>> 6) |= 1L << i
+    block.toVector.sortBy(_._1)(MatView.rowOrdering).map { case (schema, b) => schema.mkString("|") -> b }
+  }
+  // The sides of contradiction c, in report order, are view sets firstSide(c)
+  // until firstSide(c + 1) of sideBits, each `words` long, without other ids.
   private lazy val firstSide: Array[Int] = report.contradictions.scanLeft(0)(_ + _.sides.size).toArray
-  private lazy val sideBits: Array[Long] = Array.concat(report.contradictions.flatMap(_.sides).map { members =>
-    setOf(members.iterator.map(ids.search(_)).collect { case Found(i) => i })
-  }: _*)
+  private lazy val sideBits: Array[Long] = {
+    val b = new Array[Long](firstSide.last * words)
+    var side = 0
+    for (c <- report.contradictions; members <- c.sides) {
+      members.foreach { id =>
+        val i = java.util.Arrays.binarySearch(ids.asInstanceOf[Array[AnyRef]], id)
+        if (i >= 0) b(side * words + (i >>> 6)) |= 1L << i
+      }
+      side += 1
+    }
+    b
+  }
 
   /** Each interface's best question not shown yet, in [[Interface.all]]
     * order; an interface with nothing left to ask has none. AttributeQ and
@@ -227,15 +236,15 @@ object Presenter {
   // ⌈log₂|I|⌉ round-robin questions per interface before the first draw
   val BootstrapPerArm: Int = math.ceil(math.log(Interface.all.size.toDouble) / math.log(2)).toInt
 
-  /** A session between rounds: the live views, utilities by view number,
-    * questions asked and answered per interface, every question shown as
-    * (interface, label), and the interactions and consecutive skips so far.
+  /** A session between rounds: the live views, utilities by view number
+    * (`ranking`: live views by −utility, then number, i.e. id), questions
+    * asked and answered per interface, every question shown as (interface,
+    * label), and the interactions and consecutive skips so far.
     */
   final case class State(live: Array[Long], utility: Array[Double], asked: Map[Interface, Int],
                          answered: Map[Interface, Int], shown: Set[(Interface, String)], interactions: Int,
                          skipStreak: Int) {
     lazy val liveCount: Int = count(live)
-    /** The live views by utility, descending, then by number (id order). */
     lazy val ranking: Vector[Int] = members(live).toVector.sortBy(v => (-utility(v), v))
     /** r(I): the Laplace-smoothed answer rate. */
     def rate(i: Interface): Double = (answered(i) + 0.5) / (asked(i) + 1.0)
@@ -307,17 +316,8 @@ object Presenter {
   def count(set: Array[Long]): Int = countAnd(set, 0, set)
 
   /** The view numbers in `set`, ascending. */
-  def members(set: Array[Long]): Iterator[Int] = new Iterator[Int] {
-    private var w = -1
-    private var x = 0L
-    def hasNext: Boolean = { while (x == 0 && w + 1 < set.length) { w += 1; x = set(w) }; x != 0 }
-    def next(): Int = {
-      if (!hasNext) throw new NoSuchElementException
-      val i = (w << 6) + java.lang.Long.numberOfTrailingZeros(x)
-      x &= x - 1
-      i
-    }
-  }
+  def members(set: Array[Long]): Iterator[Int] =
+    Iterator.range(0, set.length << 6).filter(v => (set(v >>> 6) >>> v & 1) != 0)
 
   // Word operations on a presenter's view sets: `a` from word `from`
   // against all of `b`.
