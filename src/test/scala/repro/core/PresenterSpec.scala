@@ -403,13 +403,14 @@ class PresenterSpec extends AnyFunSuite {
             if (observe(decode(p, s), s.ranking.map(p.byNumber(_).id)) != observe(reference, reference.ranking))
               bad += 1
           }
-          for (round <- walk(p, SimUser("u", probs, 3, seed), target)) {
+          val rounds = walk(p, SimUser("u", probs, 3, seed), target)
+          for (round <- rounds) {
             check(round.state)
             val next = StepReference.step(reference, decode(p, round.shown), round.answer)
             if (next.left.toOption != round.next.left.toOption) bad += 1
             next.foreach(reference = _)
-            round.next.foreach(check)
           }
+          rounds.lastOption.flatMap(_.next.toOption).foreach(check)
         }
         bad == 0
       }
