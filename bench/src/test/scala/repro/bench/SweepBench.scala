@@ -3,15 +3,17 @@ package repro.bench
 import repro.SparkSpec
 import repro.bench.BenchFiles.ms
 import repro.data.{ChemblLite, OpenDataLite, Table, TableRepo}
-import repro.discovery.{DiscoveryIndexBuilder, Profiles, SparkContainment}
+import repro.discovery.{DiscoveryIndex, DiscoveryIndexBuilder, Profiles, SparkContainment}
 
 /** Corpus sweep of the index build: at each corpus point it times
   * generating the corpus and profiling its rows ([[Profiles.profile]]) once,
-  * the driver pair count over that profile ([[Profiles.containment]]) three
-  * times, the whole build ([[DiscoveryIndexBuilder.build]]) three times and
-  * the Spark self-join reference ([[SparkContainment]]) once, checks that
-  * the pair counts, the builds and the reference give the same joinable
-  * pairs, and writes every timing to `BENCH_sweep.json` ([[BenchFiles]]).
+  * the driver pair count over that profile ([[Profiles.containment]], which
+  * emits the index's adjacency over column ids) three times, the whole build
+  * ([[DiscoveryIndexBuilder.build]]) three times and the Spark self-join
+  * reference ([[SparkContainment]]) once, checks that the pair counts and the
+  * builds, decoded to pair maps ([[DiscoveryIndex.containment]]) after the
+  * timing, give the reference's joinable pairs, and writes every timing to
+  * `BENCH_sweep.json` ([[BenchFiles]]).
   *
   * The points grow tables (chembl-lite rows, opendata-lite fillers, which
   * add no joinable pairs) and join structure: the hot-value corpus is `n`
@@ -43,7 +45,7 @@ class SweepBench extends SparkSpec {
       val pairs = Vector.fill(Runs)(ms(Profiles.containment(profile, Threshold)))
       val builds = Vector.fill(Runs)(ms(DiscoveryIndexBuilder.build(spark, repo, Threshold)))
       val (reference, sparkMs) = ms(SparkContainment(spark, repo, Threshold))
-      pairs.foreach { case (p, _) => assert(p == reference, name) }
+      pairs.foreach { case (p, _) => assert(new DiscoveryIndex(profile, p, Threshold).containment == reference, name) }
       builds.foreach { case (idx, _) => assert(idx.containment == reference, name) }
       (name, repo.data.size, profile.distinctCounts.sum, reference.size, generateMs, profileMs, pairs.map(_._2),
         builds.map(_._2), sparkMs)

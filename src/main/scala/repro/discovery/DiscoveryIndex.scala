@@ -3,6 +3,7 @@ package repro.discovery
 import java.util.Arrays
 import org.apache.spark.sql.SparkSession
 import scala.collection.Searching.Found
+import scala.collection.mutable
 
 import repro.core.{ColumnRef, JoinEdge}
 import repro.data.TableRepo
@@ -16,18 +17,35 @@ import repro.discovery.Profiles.normalize
   *
   * @param profile     the profiling pass's output; its `postings` (normalized value →
   *                    ascending column ids) are served as they are, decoded through its `columns`
-  * @param containment containment score per canonically-ordered joinable
-  *                    column pair (score ≥ `threshold` only)
+  * @param joins       the joinable column pairs (score ≥ `threshold` only) over the profile's
+  *                    column ids, which run in [[ColumnRef.ordering]] and are consecutive per table
   * @param threshold   the containment threshold the index was built at
   */
 final class DiscoveryIndex(
     val profile: Profiles.Profile,
-    val containment: Map[(ColumnRef, ColumnRef), Double],
+    joins: Profiles.Adjacency,
     val threshold: Double,
 ) {
   import profile.{columns, postings}
-  val distinctCounts: Map[ColumnRef, Int] = columns.zip(profile.distinctCounts).toMap
-  def distinctCount(c: ColumnRef): Int = distinctCounts.getOrElse(c, 0)
+  import joins.{nbrs, offsets, scores}
+
+  /** `c`'s id, or -1 when the index does not hold `c`. */
+  private def id(c: ColumnRef): Int = columns.search(c) match { case Found(i) => i; case _ => -1 }
+  /** Column `i`'s positions in `nbrs` and `scores`, ascending by neighbour id; none for id -1. */
+  private def row(i: Int): Range = if (i < 0) Range(0, 0) else Range(offsets(i), offsets(i + 1))
+  /** The tables by number, in name order; table `t`'s column ids run from `starts(t)` until `starts(t + 1)`, so its
+    * rows are `offsets(starts(t))` until `offsets(starts(t + 1))`. Number `tables.length` is an empty table.
+    */
+  private val tables: Array[String] = columns.map(_.table).distinct.toArray
+  private val starts: Array[Int] = tables.map(t => columns.search(ColumnRef(t, "")).insertionPoint) :+ columns.size :+ columns.size
+  private val tableOf: Array[Int] = tables.indices.flatMap(t => Vector.fill(starts(t + 1) - starts(t))(t)).toArray
+  /** `t`'s number, or the empty table's when the index does not hold `t`. */
+  private def table(t: String): Int = Arrays.binarySearch(tables.asInstanceOf[Array[AnyRef]], t) match {
+    case k if k >= 0 => k
+    case _ => tables.length
+  }
+
+  def distinctCount(c: ColumnRef): Int = id(c) match { case -1 => 0; case i => profile.distinctCounts(i) }
 
   /** SEARCH-KEYWORD(value): columns containing the value (exact match after
     * normalization — see DESIGN.md substitution 6 for the fuzzy case).
@@ -38,40 +56,40 @@ final class DiscoveryIndex(
   /** Alg. 4's overlap `|c ∩ examples|`: distinct normalized examples that
     * column `c` contains.
     */
-  def overlap(c: ColumnRef, examples: Seq[String]): Int = columns.search(c) match {
-    case Found(id) => examples.map(normalize).distinct.count(v => postings.get(v).exists(Arrays.binarySearch(_, id) >= 0))
-    case _ => 0
+  def overlap(c: ColumnRef, examples: Seq[String]): Int = id(c) match {
+    case -1 => 0
+    case i => examples.map(normalize).distinct.count(v => postings.get(v).exists(Arrays.binarySearch(_, i) >= 0))
   }
 
-  /** NEIGHBORS(c): columns joinable with `c` at the index's threshold. */
-  lazy val neighbors: Map[ColumnRef, Set[ColumnRef]] = {
-    val sym = containment.keys.toVector.flatMap { case (a, b) => Vector(a -> b, b -> a) }
-    sym.groupBy(_._1).map { case (c, ns) => c -> ns.map(_._2).toSet }
-      .withDefaultValue(Set.empty)
+  /** NEIGHBORS(c): columns joinable with `c` at the index's threshold, in column order. */
+  def neighbors(c: ColumnRef): Vector[ColumnRef] = row(id(c)).map(k => columns(nbrs(k))).toVector
+
+  def containmentOf(a: ColumnRef, b: ColumnRef): Double = {
+    val r = row(id(a))
+    val k = Arrays.binarySearch(nbrs, r.start, r.end, id(b))
+    if (k >= 0) scores(k) else 0.0
   }
 
-  def containmentOf(a: ColumnRef, b: ColumnRef): Double =
-    containment.getOrElse((a, b), containment.getOrElse((b, a), 0.0))
+  /** The joinable pairs keyed with the lower id first, as [[JoinEdge]] keeps its endpoints; decoded on first read. */
+  lazy val containment: Map[(ColumnRef, ColumnRef), Double] =
+    (for (i <- columns.indices; k <- row(i) if nbrs(k) > i) yield (columns(i), columns(nbrs(k))) -> scores(k)).toMap
 
-  /** Join edges grouped by (sorted) table pair, each pair's edges in column order. */
-  lazy val edgesBetween: Map[(String, String), Vector[JoinEdge]] =
-    containment.keys.toVector.sorted
-      .map { case (a, b) => JoinEdge(a, b) }
-      .groupBy(e => (e.left.table, e.right.table))
-      .withDefaultValue(Vector.empty)
-
-  def joinEdges(t1: String, t2: String): Vector[JoinEdge] = {
-    val key = if (t1 <= t2) (t1, t2) else (t2, t1)
-    edgesBetween(key)
+  /** Join edges between two tables, in column order. */
+  def joinEdges(t1: String, t2: String): Vector[JoinEdge] = edges(table(t1), table(t2))
+  private def edges(a: Int, b: Int): Vector[JoinEdge] = {
+    val (lo, hi) = (math.min(a, b), math.max(a, b))
+    val out = Vector.newBuilder[JoinEdge]
+    for (i <- starts(lo) until starts(lo + 1); k <- row(i)) if (tableOf(nbrs(k)) == hi) out += JoinEdge(columns(i), columns(nbrs(k)))
+    out.result()
   }
 
-  /** Tables adjacent to `t` via at least one join edge. */
-  lazy val tableNeighbors: Map[String, Vector[String]] =
-    edgesBetween.keys.toVector
-      .flatMap { case (a, b) => Vector(a -> b, b -> a) }
-      .groupBy(_._1)
-      .map { case (t, ns) => t -> ns.map(_._2).distinct.sorted }
-      .withDefaultValue(Vector.empty)
+  /** Tables adjacent to `t` via at least one join edge, by name. */
+  def tableNeighbors(t: String): Vector[String] = adjacent(table(t)).toVector.map(tables(_))
+  private def adjacent(t: Int): mutable.BitSet = {
+    val out = mutable.BitSet.empty
+    for (k <- offsets(starts(t)) until offsets(starts(t + 1))) out += tableOf(nbrs(k))
+    out
+  }
 
   /** GENERATE-JOIN-GRAPHS({t1, t2}, ρ) at the paper's ρ = 2: every join
     * graph of at most two edges connecting the pair — the direct edges, then
@@ -80,36 +98,50 @@ final class DiscoveryIndex(
     */
   def generateJoinGraphs(t1: String, t2: String): Vector[Set[JoinEdge]] =
     if (t1 == t2) Vector(Set.empty)
-    else joinEdges(t1, t2).map(e => Set(e)) ++
-      tableNeighbors(t1).intersect(tableNeighbors(t2)).flatMap { x =>
-        for (e1 <- joinEdges(t1, x); e2 <- joinEdges(x, t2)) yield Set(e1, e2)
+    else {
+      val (a, b) = (table(t1), table(t2))
+      edges(a, b).map(e => Set(e)) ++ (adjacent(a) & adjacent(b)).toVector.flatMap { x =>
+        for (e1 <- edges(a, x); e2 <- edges(x, b)) yield Set(e1, e2)
       }
+    }
 
   /** Connected components of a column set under the NEIGHBORS relation, by least column:
-    * the clustering step of COLUMN-SELECTION (Algorithm 4, line 5).
+    * the clustering step of COLUMN-SELECTION (Algorithm 4, line 5). A column the index does not hold is one alone.
     */
   def connectedComponents(cols: Set[ColumnRef]): Vector[Set[ColumnRef]] = {
-    var remaining = cols
+    val (held, other) = cols.partition(id(_) >= 0)
+    var remaining = held.map(id)
     val out = Vector.newBuilder[Set[ColumnRef]]
     while (remaining.nonEmpty) {
       var comp = Set(remaining.head)
       var frontier = comp
       while (frontier.nonEmpty) {
-        val next = frontier.flatMap(c => neighbors(c)).intersect(remaining) -- comp
+        val next = frontier.flatMap(i => row(i).map(nbrs(_))).intersect(remaining) -- comp
         comp ++= next; frontier = next
       }
-      out += comp
+      out += comp.map(columns)
       remaining --= comp
     }
-    out.result().sortBy(_.min)
+    (out.result() ++ other.map(Set(_))).sortBy(_.min)
   }
 }
 
 object DiscoveryIndex {
-  /** The index over per-column values, profiled by [[Profiles.profile]]. */
+  /** The index over per-column values, profiled by [[Profiles.profile]], and the joinable pairs, each
+    * given once, in either order, over two columns of `cells` from different tables.
+    */
   def apply(cells: Iterable[(ColumnRef, Iterable[String])],
-            containment: Map[(ColumnRef, ColumnRef), Double], threshold: Double): DiscoveryIndex =
-    new DiscoveryIndex(Profiles.profile(cells), containment, threshold)
+            pairs: Map[(ColumnRef, ColumnRef), Double], threshold: Double): DiscoveryIndex = {
+    val profile = Profiles.profile(cells)
+    val (lo, hi, scores) = pairs.toVector.map { case ((a, b), score) =>
+      val ids = Vector(a, b).map(profile.columns.search(_)).collect { case Found(i) => i }.sorted
+      require(ids.size == 2, s"DiscoveryIndex: pair ($a, $b) names a column not in the cells")
+      require(a.table != b.table, s"DiscoveryIndex: pair ($a, $b) joins two columns of table ${a.table}")
+      require(!pairs.contains((b, a)), s"DiscoveryIndex: pair ($a, $b) is given in both orders")
+      (ids(0), ids(1), score)
+    }.sortBy(p => (p._1, p._2)).unzip3
+    new DiscoveryIndex(profile, new Profiles.Adjacency(profile.columns.size, lo.toArray, hi.toArray, scores.toArray), threshold)
+  }
 }
 
 /** Offline builder: profiles the repo's rows in one pass, counts joinable

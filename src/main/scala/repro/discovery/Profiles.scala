@@ -57,17 +57,33 @@ object Profiles {
     Profile(sorted.map(_._1), lists.mapValuesInPlace((_, l) => Arrays.copyOfRange(l, 1, l(0) + 1)), counts)
   }
 
+  /** The joinable column pairs `(lo(k), hi(k))`, `lo(k) < hi(k)`, sorted by `(lo, hi)`, as one symmetric adjacency
+    * over `n` column ids: column `i`'s neighbours are `nbrs(offsets(i))` until `nbrs(offsets(i + 1))`, ascending,
+    * each with its pair's score at the same position.
+    */
+  final class Adjacency(n: Int, lo: Array[Int], hi: Array[Int], score: Array[Double]) {
+    val offsets = new Array[Int](n + 1)
+    for (k <- lo.indices) { offsets(lo(k)) += 1; offsets(hi(k)) += 1 }
+    for (i <- 1 to n) offsets(i) += offsets(i - 1) // each row's end
+    val nbrs = new Array[Int](offsets(n))
+    val scores = new Array[Double](offsets(n))
+    // Each row fills from its end back, in reverse pair order, which gives it its higher neighbours descending,
+    // then its lower ones descending: it comes out ascending, with no sort, and its end moves to its start.
+    for (k <- lo.indices.reverse) { add(lo(k), hi(k), score(k)); add(hi(k), lo(k), score(k)) }
+    private def add(i: Int, j: Int, s: Double): Unit = { offsets(i) -= 1; nbrs(offsets(i)) = j; scores(offsets(i)) = s }
+  }
+
   /** The one pair count: the containment score
     * `max(|a∩b|/|a|, |a∩b|/|b|)` of every pair of columns from different
-    * tables that share a value and score at least `threshold`, keyed with
-    * the lower id first: [[ColumnRef.ordering]], as [[repro.core.JoinEdge]] keeps its endpoints.
+    * tables that share a value and score at least `threshold`, as the
+    * [[Adjacency]] over the profile's column ids.
     *
     * It walks each column's values and, for each value, the columns in the
     * value's posting list, tallying shared values in one counter per
     * column: O(columns) scratch memory and at most Σ|P(v)|² increments, the
     * rows the self-join on `value` would produce.
     */
-  def containment(profile: Profile, threshold: Double): Map[(ColumnRef, ColumnRef), Double] = {
+  def containment(profile: Profile, threshold: Double): Adjacency = {
     val cols = profile.columns
     val n = cols.size
     // Each column's posting lists that name another column.
@@ -77,7 +93,7 @@ object Profiles {
 
     val overlap = new Array[Int](n)
     val touched = new Array[Int](n)
-    val out = Map.newBuilder[(ColumnRef, ColumnRef), Double]
+    val (lo, hi, scores) = (Array.newBuilder[Int], Array.newBuilder[Int], Array.newBuilder[Double])
     var end = 0 // the first id past column i's table, whose columns are consecutive ids
     for (i <- 0 until n) {
       while (end < n && cols(end).table == cols(i).table) end += 1
@@ -97,15 +113,16 @@ object Profiles {
         }
         x += 1
       }
+      Arrays.sort(touched, 0, nTouched) // pairs in (i, j) order
       for (k <- 0 until nTouched) {
         val j = touched(k)
         val ov = overlap(j).toDouble
         overlap(j) = 0
         val score = math.max(ov / profile.distinctCounts(i), ov / profile.distinctCounts(j))
-        if (score >= threshold) out += (cols(i), cols(j)) -> score
+        if (score >= threshold) { lo += i; hi += j; scores += score }
       }
     }
-    out.result()
+    new Adjacency(n, lo.result(), hi.result(), scores.result())
   }
 
   /** Reference: `(tbl, col, value)` triples from [[TableRepo.values]], not from [[profile]]. */

@@ -2,8 +2,10 @@ package repro.core
 
 import org.scalacheck.{Gen, Prop, Test => SCTest}
 import org.scalatest.funsuite.AnyFunSuite
+import scala.collection.mutable
 
-import repro.discovery.DiscoveryIndex
+import repro.core.ColumnSelection.Cluster
+import repro.discovery.{DiscoveryIndex, Profiles}
 
 /** Unit tests for COLUMN-SELECTION (Algorithm 4) and the SA/SB baselines
   * over a hand-built index: a ground-truth column, a high-containment noise
@@ -103,7 +105,8 @@ class ColumnSelectionSpec extends AnyFunSuite {
   /** A random index over 2–8 columns in 1–4 tables, each holding 1–6 of the
     * values a–h, where each cross-table column pair is joinable with
     * probability 1/3; 1–4 examples from a–j and A (i and j are in no
-    * column, A is a case variant of a); θ from 1 to 3.
+    * column, A is a case variant of a); θ from 1 to 3; and the index's
+    * cells and pair map.
     */
   private val caseGen = for {
     n <- Gen.choose(2, 8)
@@ -114,14 +117,17 @@ class ColumnSelectionSpec extends AnyFunSuite {
     scores <- Gen.listOfN(pairs.size, Gen.frequency(2 -> Gen.const(0.0), 1 -> Gen.oneOf(0.8, 1.0)))
     examples <- Gen.choose(1, 4).flatMap(Gen.listOfN(_, Gen.oneOf("abcdefghijA".map(_.toString))))
     theta <- Gen.choose(1, 3)
-  } yield (DiscoveryIndex(cols.zip(values.map(_.toVector)), pairs.zip(scores).filter(_._2 > 0).toMap, 0.8),
-    examples.toVector, theta)
+    cells = cols.zip(values.map(_.toVector))
+    joinable = pairs.zip(scores).filter(_._2 > 0).toMap
+  } yield (DiscoveryIndex(cells, joinable, 0.8), examples.toVector, theta, cells, joinable)
 
-  private def forRandomIndexes(p: (DiscoveryIndex, Vector[String], Int) => Boolean): Unit = {
-    val res = SCTest.check(SCTest.Parameters.default.withMinSuccessfulTests(1000),
-      Prop.forAllNoShrink(caseGen) { case (idx, ex, theta) => p(idx, ex, theta) })
+  private def forRandomCases(p: ((DiscoveryIndex, Vector[String], Int, Vector[(ColumnRef, Vector[String])],
+      Map[(ColumnRef, ColumnRef), Double])) => Boolean): Unit = {
+    val res = SCTest.check(SCTest.Parameters.default.withMinSuccessfulTests(1000), Prop.forAllNoShrink(caseGen)(p))
     assert(res.passed, res.status.toString)
   }
+  private def forRandomIndexes(p: (DiscoveryIndex, Vector[String], Int) => Boolean): Unit =
+    forRandomCases { case (idx, ex, theta, _, _) => p(idx, ex, theta) }
 
   test("random indexes: SELECT-BEST is a subset of SELECT-ALL") {
     var smaller = 0
@@ -151,5 +157,22 @@ class ColumnSelectionSpec extends AnyFunSuite {
         ColumnStrategy.SelectAll.select(ex, idx)
     }
     assert(multiTier > 25, s"vacuous: $multiTier cases with two or more score tiers")
+  }
+  test("random indexes: clusters are the pair map's components over the candidates, scored by brute-force overlap") {
+    var joined = 0; var several = 0
+    forRandomCases { case (idx, ex, _, cells, pairs) =>
+      val examples = ex.map(Profiles.normalize).toSet
+      val overlap = cells.map { case (c, vs) => c -> vs.map(Profiles.normalize).toSet.intersect(examples).size }.toMap
+      val cand = overlap.filter(_._2 > 0).keySet
+      // Union-find over the pairs with both columns among the candidates.
+      val parent = mutable.Map.from(cand.map(c => c -> c))
+      def root(c: ColumnRef): ColumnRef = if (parent(c) == c) c else root(parent(c))
+      for ((a, b) <- pairs.keys if cand(a) && cand(b)) parent(root(a)) = root(b)
+      val expected = cand.groupBy(root).values.toVector.map(cs => Cluster(cs, cs.map(overlap).max)).sortBy(_.columns.min)
+      if (expected.exists(_.columns.size > 1)) joined += 1
+      if (expected.size > 1) several += 1
+      ColumnSelection.clusters(ex, idx) == expected
+    }
+    assert(joined > 25 && several > 25, s"vacuous: $joined cases with a multi-column cluster, $several with two or more")
   }
 }

@@ -4,7 +4,7 @@ import org.scalacheck.{Gen, Prop, Test => SCTest}
 import org.scalatest.funsuite.AnyFunSuite
 
 import repro.data.GroundTruth
-import repro.discovery.DiscoveryIndex
+import repro.discovery.{DiscoveryIndex, IndexReference}
 
 /** Unit tests for JOIN-GRAPH-SEARCH (Algorithm 5) and the discovery index's
   * GENERATE-JOIN-GRAPHS over a hand-built join topology, plus a property
@@ -48,8 +48,8 @@ class JoinGraphSearchSpec extends AnyFunSuite {
     assert(index.generateJoinGraphs("t1", "t5").isEmpty)
   }
   test("neighbors are symmetric") {
-    assert(index.neighbors(c("t1", "k")) == Set(c("t2", "k")))
-    assert(index.neighbors(c("t2", "k")) == Set(c("t1", "k")))
+    assert(index.neighbors(c("t1", "k")) == Vector(c("t2", "k")))
+    assert(index.neighbors(c("t2", "k")) == Vector(c("t1", "k")))
   }
   test("containmentOf is order-insensitive") {
     assert(index.containmentOf(c("t2", "k"), c("t1", "k")) == 1.0)
@@ -120,8 +120,8 @@ class JoinGraphSearchSpec extends AnyFunSuite {
 
   // ---- search vs a brute-force enumerator ----------------------------------
   /** A random index over 3–5 tables of 1–3 columns, where each cross-table
-    * column pair is joinable with probability 1/3, and 1–2 candidate sets
-    * drawn from all columns, so they may overlap.
+    * column pair is joinable with probability 1/3, the index's pair map, and
+    * 1–2 candidate sets drawn from all columns, so they may overlap.
     */
   private val caseGen = for {
     widths <- Gen.choose(3, 5).flatMap(n => Gen.listOfN(n, Gen.choose(1, 3)))
@@ -129,15 +129,16 @@ class JoinGraphSearchSpec extends AnyFunSuite {
     pairs = for (a <- cols; b <- cols if a.table < b.table) yield (a, b)
     scores <- Gen.listOfN(pairs.size, Gen.frequency(2 -> Gen.const(0.0), 1 -> Gen.oneOf(0.8, 0.9, 1.0)))
     cands <- Gen.choose(1, 2).flatMap(n => Gen.listOfN(n, Gen.atLeastOne(cols).map(_.toSet)))
-  } yield (DiscoveryIndex(cols.map(_ -> Nil), pairs.zip(scores).filter(_._2 > 0).toMap, 0.8), cands.toVector)
+    joinable = pairs.zip(scores).filter(_._2 > 0).toMap
+  } yield (DiscoveryIndex(cols.map(_ -> Nil), joinable, 0.8), joinable, cands.toVector)
 
   /** Brute-force JOIN-GRAPH-SEARCH: for each combination of candidate
     * columns, every set of ≤ 2 join edges that forms a tree whose leaves are
     * exactly the combination's two tables — the empty set when both columns
-    * come from one table.
+    * come from one table. Edges and their scores come from the pair map.
     */
-  private def referenceSearch(cands: Vector[Set[ColumnRef]], idx: DiscoveryIndex): SearchResult = {
-    val edges = idx.containment.keys.toVector.map { case (a, b) => JoinEdge(a, b) }
+  private def referenceSearch(cands: Vector[Set[ColumnRef]], pairs: Map[(ColumnRef, ColumnRef), Double]): SearchResult = {
+    val edges = pairs.keys.toVector.map { case (a, b) => JoinEdge(a, b) }
     val subsets = Vector(Set.empty[JoinEdge]) ++ edges.map(Set(_)) ++ edges.combinations(2).map(_.toSet)
     def joins(g: Set[JoinEdge], t1: String, t2: String): Boolean = {
       val degree = g.toVector.flatMap(_.tables).groupMapReduce(identity)(_ => 1)(_ + _)
@@ -151,17 +152,19 @@ class JoinGraphSearchSpec extends AnyFunSuite {
       g <- subsets if joins(g, combo.head.table, combo.last.table)
     } yield ViewSpec(combo.map(_.table).toSet ++ g.flatMap(_.tables), g, combo)
     val ranked = specs.distinctBy(_.key)
-      .sortBy(s => (s.hops, -s.edges.toVector.map(e => idx.containmentOf(e.left, e.right)).sum, s.toString))
+      .sortBy(s => (s.hops, -s.edges.toVector.map(e => pairs((e.left, e.right))).sum, s.toString))
     SearchResult(ranked, specs.map(_.tables).distinct.size, specs.size)
   }
 
   test("search equals a brute-force enumerator on random indexes") {
     var twoHop = 0; var overlapping = 0
-    val prop = Prop.forAll(caseGen) { case (idx, cands) =>
+    // No shrinking: it would shrink the pair map apart from the index built from it.
+    val prop = Prop.forAllNoShrink(caseGen) { case (idx, pairs, cands) =>
+      IndexReference.check(idx, pairs, cands)
       val r = JoinGraphSearch.search(cands, idx)
       if (r.specs.exists(_.hops == 2)) twoHop += 1
       if (cands.size == 2 && cands(0).intersect(cands(1)).nonEmpty) overlapping += 1
-      r == referenceSearch(cands, idx)
+      r == referenceSearch(cands, pairs)
     }
     val res = SCTest.check(SCTest.Parameters.default.withMinSuccessfulTests(500), prop)
     assert(res.passed, res.status.toString)

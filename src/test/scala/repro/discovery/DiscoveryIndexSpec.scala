@@ -25,7 +25,7 @@ class DiscoveryIndexSpec extends SparkSpec {
   private lazy val index = DiscoveryIndexBuilder.build(spark, repo, threshold = 0.6)
 
   test("every column is profiled, including join-free ones") {
-    assert(index.distinctCounts.keySet == repo.columnRefs.toSet)
+    assert(index.profile.columns == repo.columnRefs && index.profile.distinctCounts.length == repo.columnRefs.size)
     assert(index.distinctCount(ColumnRef("unrelated", "w")) == 1)
   }
   test("values are collected per column") {
@@ -79,7 +79,7 @@ class DiscoveryIndexSpec extends SparkSpec {
     val again = DiscoveryIndexBuilder.build(spark, repo, threshold = 0.6)
     assert(again.profile.columns == index.profile.columns)
     assert(again.profile.postings.view.mapValues(_.toVector).toMap == index.profile.postings.view.mapValues(_.toVector).toMap)
-    assert(again.distinctCounts == index.distinctCounts)
+    assert(again.profile.distinctCounts.toVector == index.profile.distinctCounts.toVector)
     assert(again.containment == index.containment)
   }
 
@@ -113,13 +113,14 @@ class DiscoveryIndexSpec extends SparkSpec {
     for (threshold <- Seq(0.0, 0.8)) {
       val idx = DiscoveryIndexBuilder.build(spark, r, threshold)
       for (c <- empties) {
-        assert(idx.distinctCounts.get(c).contains(0), c)
+        assert(idx.profile.columns.contains(c) && idx.distinctCount(c) == 0, c)
         assert(idx.neighbors(c).isEmpty, c)
       }
       assert(idx.containment == Map((ColumnRef("nulls", "k"), ColumnRef("other", "k")) -> 1.0))
       assert(idx.containment == SparkContainment(spark, r, threshold))
     }
-    assert(Profiles.containment(Profiles.profile(TableRepo("none", Vector.empty, Vector.empty)), 0.0).isEmpty)
+    val none = Profiles.containment(Profiles.profile(TableRepo("none", Vector.empty, Vector.empty)), 0.0)
+    assert(none.offsets.toVector == Vector(0) && none.nbrs.isEmpty && none.scores.isEmpty)
   }
 
   test("randomized: containment equals a driver reference, and keyword search agrees with overlap") {
@@ -162,15 +163,41 @@ class DiscoveryIndexSpec extends SparkSpec {
       } yield (a, b) -> score).toMap
       assert(idx.containment == expected)
       assert(idx.containment == SparkContainment(spark, repo, threshold))
-      assert(idx.distinctCounts == sets.map { case (c, vs) => c -> vs.size })
+      assert(idx.profile.columns.zip(idx.profile.distinctCounts).toMap == sets.map { case (c, vs) => c -> vs.size })
       for (v <- alphabet :+ "Dup" :+ "absent"; c <- repo.columnRefs) {
         assert(idx.searchKeyword(v).contains(c) == (idx.overlap(c, Vector(v)) == 1), s"$v in $c")
         assert(idx.searchKeyword(v).contains(c) == sets(c).contains(Profiles.normalize(v)), s"$v in $c")
       }
+      IndexReference.check(idx, expected, alphabet.map(idx.searchKeyword(_).toSet))
       true
     }
     val res = SCTest.check(SCTest.Parameters.default.withMinSuccessfulTests(25), prop)
     assert(res.passed, res.status.toString)
+  }
+
+  test("a hand-built pair naming a column not in the cells is rejected, naming the stage and the pair") {
+    val cells = Map(ColumnRef("s", "k") -> Seq("a"), ColumnRef("t", "k") -> Seq("a"))
+    for (pair <- Seq((ColumnRef("s", "k"), ColumnRef("t", "absent")), (ColumnRef("absent", "k"), ColumnRef("t", "k")))) {
+      val e = intercept[IllegalArgumentException](DiscoveryIndex(cells, Map(pair -> 1.0), 0.8))
+      assert(e.getMessage.contains("DiscoveryIndex") && e.getMessage.contains(s"(${pair._1}, ${pair._2})"), e.getMessage)
+    }
+  }
+  test("a hand-built pair of two columns of one table is rejected, naming the stage and the pair") {
+    val cells = Map(ColumnRef("t", "a") -> Seq("x"), ColumnRef("t", "b") -> Seq("x"))
+    val e = intercept[IllegalArgumentException](DiscoveryIndex(cells, Map((ColumnRef("t", "a"), ColumnRef("t", "b")) -> 1.0), 0.8))
+    assert(e.getMessage.contains("DiscoveryIndex") && e.getMessage.contains("(t.a, t.b)"), e.getMessage)
+  }
+  test("a hand-built pair given in both orders is rejected, naming the stage and the pair") {
+    val (a, b) = (ColumnRef("s", "k"), ColumnRef("t", "k"))
+    val e = intercept[IllegalArgumentException](DiscoveryIndex(Map(a -> Seq("x"), b -> Seq("x")), Map((a, b) -> 1.0, (b, a) -> 0.9), 0.8))
+    assert(e.getMessage.contains("DiscoveryIndex") && Seq("(s.k, t.k)", "(t.k, s.k)").exists(e.getMessage.contains), e.getMessage)
+  }
+  test("a hand-built pair in either order reads as one canonical pair") {
+    val (a, b) = (ColumnRef("s", "k"), ColumnRef("t", "k"))
+    val idx = DiscoveryIndex(Map(a -> Seq("x"), b -> Seq("x")), Map((b, a) -> 0.9), 0.8)
+    assert(idx.containment == Map((a, b) -> 0.9))
+    assert(idx.containmentOf(a, b) == 0.9 && idx.containmentOf(b, a) == 0.9)
+    assert(idx.neighbors(a) == Vector(b) && idx.neighbors(b) == Vector(a))
   }
 
   test("40 one-column tables sharing one value give one 40-column posting list in order") {
