@@ -2,6 +2,7 @@ package repro.discovery
 
 import java.util.Arrays
 import org.apache.spark.sql.SparkSession
+import scala.annotation.tailrec
 import scala.collection.Searching.Found
 import scala.collection.mutable
 
@@ -28,23 +29,12 @@ final class DiscoveryIndex(
 ) {
   import profile.{columns, postings}
   import joins.{nbrs, offsets, scores}
-
-  /** `c`'s id, or -1 when the index does not hold `c`. */
   private def id(c: ColumnRef): Int = columns.search(c) match { case Found(i) => i; case _ => -1 }
-  /** Column `i`'s positions in `nbrs` and `scores`, ascending by neighbour id; none for id -1. */
+  /** Column `i`'s positions in `nbrs` and `scores`; none for id -1. */
   private def row(i: Int): Range = if (i < 0) Range(0, 0) else Range(offsets(i), offsets(i + 1))
-  /** The tables by number, in name order; table `t`'s column ids run from `starts(t)` until `starts(t + 1)`, so its
-    * rows are `offsets(starts(t))` until `offsets(starts(t + 1))`. Number `tables.length` is an empty table.
-    */
-  private val tables: Array[String] = columns.map(_.table).distinct.toArray
-  private val starts: Array[Int] = tables.map(t => columns.search(ColumnRef(t, "")).insertionPoint) :+ columns.size :+ columns.size
-  private val tableOf: Array[Int] = tables.indices.flatMap(t => Vector.fill(starts(t + 1) - starts(t))(t)).toArray
-  /** `t`'s number, or the empty table's when the index does not hold `t`. */
-  private def table(t: String): Int = Arrays.binarySearch(tables.asInstanceOf[Array[AnyRef]], t) match {
-    case k if k >= 0 => k
-    case _ => tables.length
-  }
-
+  /** Each table's column ids, which are consecutive. */
+  private val spans = columns.indices.groupBy(columns(_).table).map { case (t, ids) => t -> Range(ids.head, ids.last + 1) }
+  private def span(t: String): Range = spans.getOrElse(t, Range(0, 0))
   def distinctCount(c: ColumnRef): Int = id(c) match { case -1 => 0; case i => profile.distinctCounts(i) }
 
   /** SEARCH-KEYWORD(value): columns containing the value (exact match after
@@ -56,9 +46,9 @@ final class DiscoveryIndex(
   /** Alg. 4's overlap `|c ∩ examples|`: distinct normalized examples that
     * column `c` contains.
     */
-  def overlap(c: ColumnRef, examples: Seq[String]): Int = id(c) match {
-    case -1 => 0
-    case i => examples.map(normalize).distinct.count(v => postings.get(v).exists(Arrays.binarySearch(_, i) >= 0))
+  def overlap(c: ColumnRef, examples: Seq[String]): Int = columns.search(c) match {
+    case Found(id) => examples.map(normalize).distinct.count(v => postings.get(v).exists(Arrays.binarySearch(_, id) >= 0))
+    case _ => 0
   }
 
   /** NEIGHBORS(c): columns joinable with `c` at the index's threshold, in column order. */
@@ -75,20 +65,18 @@ final class DiscoveryIndex(
     (for (i <- columns.indices; k <- row(i) if nbrs(k) > i) yield (columns(i), columns(nbrs(k))) -> scores(k)).toMap
 
   /** Join edges between two tables, in column order. */
-  def joinEdges(t1: String, t2: String): Vector[JoinEdge] = edges(table(t1), table(t2))
-  private def edges(a: Int, b: Int): Vector[JoinEdge] = {
-    val (lo, hi) = (math.min(a, b), math.max(a, b))
+  def joinEdges(t1: String, t2: String): Vector[JoinEdge] = {
+    val (lo, hi) = if (t1 <= t2) (span(t1), span(t2)) else (span(t2), span(t1))
     val out = Vector.newBuilder[JoinEdge]
-    for (i <- starts(lo) until starts(lo + 1); k <- row(i)) if (tableOf(nbrs(k)) == hi) out += JoinEdge(columns(i), columns(nbrs(k)))
+    for (i <- lo; k <- row(i)) if (hi.contains(nbrs(k))) out += JoinEdge(columns(i), columns(nbrs(k)))
     out.result()
   }
 
   /** Tables adjacent to `t` via at least one join edge, by name. */
-  def tableNeighbors(t: String): Vector[String] = adjacent(table(t)).toVector.map(tables(_))
-  private def adjacent(t: Int): mutable.BitSet = {
-    val out = mutable.BitSet.empty
-    for (k <- offsets(starts(t)) until offsets(starts(t + 1))) out += tableOf(nbrs(k))
-    out
+  def tableNeighbors(t: String): Vector[String] = {
+    val ids = mutable.BitSet.empty
+    for (i <- span(t); k <- row(i)) ids += nbrs(k)
+    ids.iterator.map(columns(_).table).distinct.toVector
   }
 
   /** GENERATE-JOIN-GRAPHS({t1, t2}, ρ) at the paper's ρ = 2: every join
@@ -98,49 +86,40 @@ final class DiscoveryIndex(
     */
   def generateJoinGraphs(t1: String, t2: String): Vector[Set[JoinEdge]] =
     if (t1 == t2) Vector(Set.empty)
-    else {
-      val (a, b) = (table(t1), table(t2))
-      edges(a, b).map(e => Set(e)) ++ (adjacent(a) & adjacent(b)).toVector.flatMap { x =>
-        for (e1 <- edges(a, x); e2 <- edges(x, b)) yield Set(e1, e2)
+    else joinEdges(t1, t2).map(e => Set(e)) ++
+      tableNeighbors(t1).intersect(tableNeighbors(t2)).flatMap { x =>
+        val onward = joinEdges(x, t2)
+        for (e1 <- joinEdges(t1, x); e2 <- onward) yield Set(e1, e2)
       }
-    }
 
   /** Connected components of a column set under the NEIGHBORS relation, by least column:
-    * the clustering step of COLUMN-SELECTION (Algorithm 4, line 5). A column the index does not hold is one alone.
+    * the clustering step of COLUMN-SELECTION (Algorithm 4, line 5).
     */
-  def connectedComponents(cols: Set[ColumnRef]): Vector[Set[ColumnRef]] = {
-    val (held, other) = cols.partition(id(_) >= 0)
-    var remaining = held.map(id)
-    val out = Vector.newBuilder[Set[ColumnRef]]
-    while (remaining.nonEmpty) {
-      var comp = Set(remaining.head)
-      var frontier = comp
-      while (frontier.nonEmpty) {
-        val next = frontier.flatMap(i => row(i).map(nbrs(_))).intersect(remaining) -- comp
-        comp ++= next; frontier = next
-      }
-      out += comp.map(columns)
-      remaining --= comp
+  def connectedComponents(cols: Set[ColumnRef]): Vector[Set[ColumnRef]] =
+    Vector.unfold(cols) { rest =>
+      Option.when(rest.nonEmpty) { val comp = reach(Set(rest.min), Set(rest.min), rest); (comp, rest -- comp) }
     }
-    (out.result() ++ other.map(Set(_))).sortBy(_.min)
+  /** `comp` and the columns of `within` that NEIGHBORS links to it, reached one hop past `frontier` at a time. */
+  @tailrec private def reach(comp: Set[ColumnRef], frontier: Set[ColumnRef], within: Set[ColumnRef]): Set[ColumnRef] = {
+    val next = frontier.flatMap(neighbors).intersect(within) -- comp
+    if (next.isEmpty) comp else reach(comp ++ next, next, within)
   }
 }
 
 object DiscoveryIndex {
-  /** The index over per-column values, profiled by [[Profiles.profile]], and the joinable pairs, each
-    * given once, in either order, over two columns of `cells` from different tables.
-    */
+  /** The index over per-column values, profiled by [[Profiles.profile]], and joinable pairs given once each. */
   def apply(cells: Iterable[(ColumnRef, Iterable[String])],
-            pairs: Map[(ColumnRef, ColumnRef), Double], threshold: Double): DiscoveryIndex = {
+            containment: Map[(ColumnRef, ColumnRef), Double], threshold: Double): DiscoveryIndex = {
     val profile = Profiles.profile(cells)
-    val (lo, hi, scores) = pairs.toVector.map { case ((a, b), score) =>
-      val ids = Vector(a, b).map(profile.columns.search(_)).collect { case Found(i) => i }.sorted
+    val rows = containment.toVector.flatMap { case ((a, b), score) =>
+      val ids = Vector(a, b).map(profile.columns.search(_)).collect { case Found(i) => i }
       require(ids.size == 2, s"DiscoveryIndex: pair ($a, $b) names a column not in the cells")
       require(a.table != b.table, s"DiscoveryIndex: pair ($a, $b) joins two columns of table ${a.table}")
-      require(!pairs.contains((b, a)), s"DiscoveryIndex: pair ($a, $b) is given in both orders")
-      (ids(0), ids(1), score)
-    }.sortBy(p => (p._1, p._2)).unzip3
-    new DiscoveryIndex(profile, new Profiles.Adjacency(profile.columns.size, lo.toArray, hi.toArray, scores.toArray), threshold)
+      require(!containment.contains((b, a)), s"DiscoveryIndex: pair ($a, $b) is given in both orders")
+      Vector((ids(0), ids(1), score), (ids(1), ids(0), score))
+    }.sortBy(p => (p._1, p._2))
+    val offsets = Array.tabulate(profile.columns.size + 1)(i => rows.count(_._1 < i))
+    new DiscoveryIndex(profile, new Profiles.Adjacency(offsets, rows.map(_._2).toArray, rows.map(_._3).toArray), threshold)
   }
 }
 

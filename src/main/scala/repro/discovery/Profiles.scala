@@ -57,21 +57,10 @@ object Profiles {
     Profile(sorted.map(_._1), lists.mapValuesInPlace((_, l) => Arrays.copyOfRange(l, 1, l(0) + 1)), counts)
   }
 
-  /** The joinable column pairs `(lo(k), hi(k))`, `lo(k) < hi(k)`, sorted by `(lo, hi)`, as one symmetric adjacency
-    * over `n` column ids: column `i`'s neighbours are `nbrs(offsets(i))` until `nbrs(offsets(i + 1))`, ascending,
-    * each with its pair's score at the same position.
+  /** The joinable column pairs as one symmetric adjacency over column ids: column `i`'s neighbours are `nbrs(k)` for
+    * `k` from `offsets(i)` until `offsets(i + 1)`, ascending, each with its pair's score at `scores(k)`.
     */
-  final class Adjacency(n: Int, lo: Array[Int], hi: Array[Int], score: Array[Double]) {
-    val offsets = new Array[Int](n + 1)
-    for (k <- lo.indices) { offsets(lo(k)) += 1; offsets(hi(k)) += 1 }
-    for (i <- 1 to n) offsets(i) += offsets(i - 1) // each row's end
-    val nbrs = new Array[Int](offsets(n))
-    val scores = new Array[Double](offsets(n))
-    // Each row fills from its end back, in reverse pair order, which gives it its higher neighbours descending,
-    // then its lower ones descending: it comes out ascending, with no sort, and its end moves to its start.
-    for (k <- lo.indices.reverse) { add(lo(k), hi(k), score(k)); add(hi(k), lo(k), score(k)) }
-    private def add(i: Int, j: Int, s: Double): Unit = { offsets(i) -= 1; nbrs(offsets(i)) = j; scores(offsets(i)) = s }
-  }
+  final class Adjacency(val offsets: Array[Int], val nbrs: Array[Int], val scores: Array[Double])
 
   /** The one pair count: the containment score
     * `max(|a∩b|/|a|, |a∩b|/|b|)` of every pair of columns from different
@@ -93,10 +82,11 @@ object Profiles {
 
     val overlap = new Array[Int](n)
     val touched = new Array[Int](n)
-    val (lo, hi, scores) = (Array.newBuilder[Int], Array.newBuilder[Int], Array.newBuilder[Double])
-    var end = 0 // the first id past column i's table, whose columns are consecutive ids
+    val offsets = new Array[Int](n + 1)
+    val (nbrs, scores) = (Array.newBuilder[Int], Array.newBuilder[Double])
+    var start, end = 0 // column i's table's ids, which are consecutive
     for (i <- 0 until n) {
-      while (end < n && cols(end).table == cols(i).table) end += 1
+      if (i == end) { start = i; while (end < n && cols(end).table == cols(i).table) end += 1 }
       var nTouched = 0
       // The Σ|P(v)|² loop, written with indices because it is the hot path.
       var x = 0
@@ -105,7 +95,7 @@ object Profiles {
         var y = 0
         while (y < p.length) {
           val j = p(y)
-          if (j >= end) {
+          if (j < start || j >= end) {
             if (overlap(j) == 0) { touched(nTouched) = j; nTouched += 1 }
             overlap(j) += 1
           }
@@ -113,16 +103,17 @@ object Profiles {
         }
         x += 1
       }
-      Arrays.sort(touched, 0, nTouched) // pairs in (i, j) order
+      Arrays.sort(touched, 0, nTouched) // row i in ascending order
       for (k <- 0 until nTouched) {
         val j = touched(k)
         val ov = overlap(j).toDouble
         overlap(j) = 0
         val score = math.max(ov / profile.distinctCounts(i), ov / profile.distinctCounts(j))
-        if (score >= threshold) { lo += i; hi += j; scores += score }
+        if (score >= threshold) { nbrs += j; scores += score }
       }
+      offsets(i + 1) = nbrs.length
     }
-    new Adjacency(n, lo.result(), hi.result(), scores.result())
+    new Adjacency(offsets, nbrs.result(), scores.result())
   }
 
   /** Reference: `(tbl, col, value)` triples from [[TableRepo.values]], not from [[profile]]. */

@@ -4,10 +4,10 @@ import org.scalatest.Assertions._
 
 import repro.core.{ColumnRef, JoinEdge}
 
-/** The discovery index's join reads derived from a joinable-pair map, keyed with the lower column
-  * first in [[ColumnRef.ordering]], as the index derived them before it kept one adjacency over column
-  * ids: the reference [[DiscoveryIndex]]'s NEIGHBORS, `containmentOf`, `joinEdges`, `tableNeighbors`,
-  * GENERATE-JOIN-GRAPHS and connected components are checked against.
+/** The discovery index's join reads derived from a joinable-pair map keyed with the lower column
+  * first in [[ColumnRef.ordering]], with no column ids: the reference [[DiscoveryIndex]]'s NEIGHBORS,
+  * `containmentOf`, `joinEdges`, `tableNeighbors`, GENERATE-JOIN-GRAPHS and connected components are
+  * checked against.
   */
 final class IndexReference(containment: Map[(ColumnRef, ColumnRef), Double]) {
 
